@@ -17,16 +17,20 @@ JSON report schema (schema_version 1): a top-level object with
 and the report payload. Float leaves are rounded to 12 significant digits.
 With --percent, every float leaf gains a sibling "<name>_pct" rounded
 half-even to 0.1 percentage points; CSV reports gain matching *_pct columns.
+CSV text fields that hold a comma or a double quote are quoted.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
 from .comparison import (
+    MEAN_MATCH_RTOL,
+    ComparisonReport,
+    SubgroupGain,
     compare,
     cross_classified_bias,
     subgroup_precision_gain,
@@ -41,21 +45,21 @@ from .errors import (
 )
 from .ingestion import (
     CROSS_DECILE_HEADER,
-    GROUPED_HEADER,
     INDIVIDUALS_HEADER,
     JOINT_HEADER,
     bin_individuals,
+    format_csv,
+    grouped_csv,
     load_cross_decile,
     load_grouped,
     load_individuals,
     load_joint,
+    read_header,
     ten_year_risk,
-    write_grouped,
-    write_joint,
 )
 from .metrics import MetricsReport, attributes_diagram, evaluate
 from .synthetic import (
-    COVARIATES,
+    _canonical_subset,
     build_population,
     cross_classify,
     project_model,
@@ -63,48 +67,9 @@ from .synthetic import (
 )
 from .tables import format_label, perfect_model_table
 
-METRIC_FIELDS = (
-    "population_mean",
-    "bias_sq",
-    "precision_loss",
-    "brier",
-    "prevalence_variance",
-    "ro_correlation",
-    "integrated_discrimination",
-    "concordance",
-)
-COMPARISON_FIELDS = (
-    "population_mean",
-    "brier_difference",
-    "bias_sq_difference",
-    "precision_difference",
-    "idi",
-    "concordance_difference",
-)
-SUBGROUP_FIELDS = (
-    "risk",
-    "mass",
-    "prevalence_low",
-    "prevalence_high",
-    "variance",
-    "sd",
-)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and validated flags for one CLI run."""
-
-    subcommand: str
-    paths: tuple[Path, ...]
-    alphas: tuple[float, ...]
-    subsets: tuple[tuple[str, ...], ...]
-    bins: tuple[str, int]
-    mortality: float | None
-    horizon: float | None
-    out_format: str
-    out_dir: Path
-    percent: bool
+METRIC_FIELDS = tuple(f.name for f in fields(MetricsReport))
+COMPARISON_FIELDS = tuple(f.name for f in fields(ComparisonReport))
+SUBGROUP_FIELDS = tuple(f.name for f in fields(SubgroupGain) if f.name != "key")
 
 
 def percent_round(x: float) -> float:
@@ -144,8 +109,8 @@ class Writer:
         """
         pairs = _with_percent(payload_pairs, self.percent)
         if rows is not None:
-            fields, row_dicts = rows
-            pct_fields = [f for f in fields if f in _PCT_COLUMNS] if self.percent else []
+            columns, row_dicts = rows
+            pct_fields = [f for f in columns if f in _PCT_COLUMNS] if self.percent else []
         if self.out_format == "json":
             payload = {"schema_version": 1, "kind": kind}
             payload.update((k, round12(v) if isinstance(v, float) else v) for k, v in pairs)
@@ -154,7 +119,7 @@ class Writer:
                     {
                         **{
                             f: round12(row[f]) if isinstance(row[f], float) else row[f]
-                            for f in fields
+                            for f in columns
                         },
                         **{f"{f}_pct": percent_round(row[f]) for f in pct_fields},
                     }
@@ -162,19 +127,17 @@ class Writer:
                 ]
             self.add_text(f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
             return
-        lines = []
+        sections = []
         if rows is not None:
-            lines.append(",".join(list(fields) + [f"{f}_pct" for f in pct_fields]))
-            for row in row_dicts:
-                values = [row[f] for f in fields]
-                values += [percent_round(row[f]) for f in pct_fields]
-                lines.append(",".join(_format_value(v) for v in values))
-            if pairs:
-                lines.append("")
+            header = list(columns) + [f"{f}_pct" for f in pct_fields]
+            body = (
+                [row[f] for f in columns] + [percent_round(row[f]) for f in pct_fields]
+                for row in row_dicts
+            )
+            sections.append(format_csv(header, body))
         if pairs:
-            lines.append("metric,value")
-            lines += [f"{k},{_format_value(v)}" for k, v in pairs]
-        self.add_text(f"{name}.csv", "\n".join(lines) + "\n")
+            sections.append(format_csv(("metric", "value"), pairs))
+        self.add_text(f"{name}.csv", "\n".join(sections))
 
     def flush(self) -> list[Path]:
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,40 +155,23 @@ _PCT_COLUMNS = (
 )
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return format_label(v)
-    return str(v)
+def _report_pairs(report):
+    """(field name, value) pairs of a report dataclass, in field order."""
+    return [(f.name, getattr(report, f.name)) for f in fields(report)]
 
 
-def _metrics_pairs(report: MetricsReport):
-    return [(f, getattr(report, f)) for f in METRIC_FIELDS]
-
-
-def _subgroup_rows(report):
-    fields = ("group",) + SUBGROUP_FIELDS
-    rows = [
-        {
-            "group": r.key,
-            "risk": r.risk,
-            "mass": r.mass,
-            "prevalence_low": r.prevalence_low,
-            "prevalence_high": r.prevalence_high,
-            "variance": r.variance,
-            "sd": r.sd,
-        }
-        for r in report.rows
-    ]
-    return fields, rows
+def _add_gain_report(writer: Writer, name: str, gain) -> None:
+    rows = [{"group": r.key, **{f: getattr(r, f) for f in SUBGROUP_FIELDS}} for r in gain.rows]
+    writer.add_report(
+        name,
+        "subgroup_gain",
+        [("population_mean", gain.population_mean), ("total_gain", gain.total_gain)],
+        rows=(("group",) + SUBGROUP_FIELDS, rows),
+    )
 
 
 def _attributes_csv(table) -> str:
-    lines = ["risk,prevalence,mass"]
-    lines += [
-        f"{format_label(r)},{format_label(p)},{format_label(m)}"
-        for r, p, m in attributes_diagram(table)
-    ]
-    return "\n".join(lines) + "\n"
+    return format_csv(("risk", "prevalence", "mass"), attributes_diagram(table))
 
 
 def _subset_label(subset: tuple[str, ...]) -> str:
@@ -233,15 +179,27 @@ def _subset_label(subset: tuple[str, ...]) -> str:
 
 
 def parse_subset(text: str) -> tuple[str, ...]:
-    names, rest = [], text.strip()
-    while rest:
-        if len(rest) < 2 or rest[0] != "z" or rest[1] not in "0123":
-            raise ParameterOutOfRange(f"cannot parse covariate subset {text!r}")
-        names.append(rest[:2])
-        rest = rest[2:]
-    if len(set(names)) != len(names) or not names:
-        raise ParameterOutOfRange(f"covariate subset {text!r} must list distinct covariates")
-    return tuple(n for n in COVARIATES if n in names)
+    """Covariate subset written as e.g. "z0z1", in canonical order."""
+    rest = text.strip()
+    return _canonical_subset(rest[i : i + 2] for i in range(0, len(rest), 2))
+
+
+def _parse_alphas(text: str) -> tuple[float, ...]:
+    try:
+        alphas = tuple(float(a) for a in text.split(","))
+    except ValueError:
+        raise ParameterOutOfRange(f"cannot parse --alpha {text!r}") from None
+    for a in alphas:
+        if not 0.0 <= a <= 1.0:
+            raise ParameterOutOfRange(f"alpha {a} outside [0, 1]")
+    return alphas
+
+
+def _parse_models(text: str) -> tuple[tuple[str, ...], ...]:
+    subsets = tuple(parse_subset(s) for s in text.split(",")) if text else ()
+    if len(set(subsets)) != len(subsets):
+        raise ParameterOutOfRange(f"--models {text!r} repeats a subset")
+    return subsets
 
 
 def parse_bins(text: str) -> tuple[str, int]:
@@ -260,18 +218,18 @@ def parse_bins(text: str) -> tuple[str, int]:
     )
 
 
-def _sniff_header(path: Path) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            first = fh.readline()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return [h.strip() for h in first.strip().split(",")]
+def _input_paths(names) -> list[Path]:
+    paths = [Path(p) for p in names]
+    for p in paths:
+        if not p.exists():
+            raise ParseError(f"input file {p} does not exist")
+    return paths
 
 
-def cmd_synth(config: RunConfig) -> int:
-    writer = Writer(config.out_dir, config.out_format, config.percent)
-    populations = {a: build_population(a) for a in config.alphas}
+def cmd_synth(args: argparse.Namespace) -> int:
+    alphas, subsets = _parse_alphas(args.alpha), _parse_models(args.models)
+    writer = Writer(Path(args.out), args.format, args.percent)
+    populations = {a: build_population(a) for a in alphas}
     tables = {}  # (alpha, subset) -> grouped table
     matrix_rows = []
     matrix_fields = ("alpha", "model") + METRIC_FIELDS
@@ -279,47 +237,27 @@ def cmd_synth(config: RunConfig) -> int:
         alabel = format_label(alpha)
         dist = risk_distribution(pop)
         writer.add_text(
-            f"risk_distribution_alpha{alabel}.csv",
-            "risk,mass\n"
-            + "".join(f"{format_label(p)},{format_label(f)}\n" for p, f in dist.points),
+            f"risk_distribution_alpha{alabel}.csv", format_csv(("risk", "mass"), dist.points)
         )
-        models = [(_subset_label(s), project_model(pop, s)) for s in config.subsets]
+        models = [(_subset_label(s), project_model(pop, s)) for s in subsets]
         models.append(("perfect", perfect_model_table(dist)))
         for name, table in models:
             if name != "perfect":
-                writer.add_text(
-                    f"model_alpha{alabel}_{name}.csv",
-                    "risk,mass,prevalence\n"
-                    + "".join(
-                        f"{format_label(g.risk)},{format_label(g.mass)},{format_label(g.prevalence)}\n"
-                        for g in table.groups
-                    ),
-                )
+                writer.add_text(f"model_alpha{alabel}_{name}.csv", grouped_csv(table))
             report = evaluate(table)
-            row = {"alpha": alpha, "model": name}
-            row.update((f, getattr(report, f)) for f in METRIC_FIELDS)
-            matrix_rows.append(row)
-        for subset in config.subsets:
+            matrix_rows.append({"alpha": alpha, "model": name, **dict(_report_pairs(report))})
+        for subset in subsets:
             tables[(alpha, subset)] = dict(models)[_subset_label(subset)]
-        if len(config.subsets) >= 2:
-            s1, s2 = config.subsets[0], config.subsets[1]
+        if len(subsets) >= 2:
+            s1, s2 = subsets[0], subsets[1]
             joint = cross_classify(pop, s1, s2)
             comp = compare(tables[(alpha, s1)], tables[(alpha, s2)])
-            writer.add_report(
-                f"comparison_alpha{alabel}",
-                "comparison",
-                [(f, getattr(comp, f)) for f in COMPARISON_FIELDS],
-            )
+            writer.add_report(f"comparison_alpha{alabel}", "comparison", _report_pairs(comp))
             gain = subgroup_precision_gain(joint)
-            writer.add_report(
-                f"subgroup_gain_alpha{alabel}",
-                "subgroup_gain",
-                [("population_mean", gain.population_mean), ("total_gain", gain.total_gain)],
-                rows=_subgroup_rows(gain),
-            )
-    if len(config.alphas) >= 2:
-        source_alpha, target_alpha = config.alphas[0], config.alphas[1]
-        for subset in config.subsets:
+            _add_gain_report(writer, f"subgroup_gain_alpha{alabel}", gain)
+    if len(alphas) >= 2:
+        source_alpha, target_alpha = alphas[0], alphas[1]
+        for subset in subsets:
             transferred = transfer_calibration(
                 tables[(source_alpha, subset)], tables[(target_alpha, subset)]
             )
@@ -330,24 +268,17 @@ def cmd_synth(config: RunConfig) -> int:
             )
     else:
         print("note: transfer tables need two alpha values; skipped")
-    writer.add_report(
-        "metrics_matrix",
-        "metrics_matrix",
-        [],
-        rows=(matrix_fields, matrix_rows),
-    )
+    writer.add_report("metrics_matrix", "metrics_matrix", [], rows=(matrix_fields, matrix_rows))
     for path in writer.flush():
         print(f"wrote {path}")
     return 0
 
 
-def cmd_eval(config: RunConfig) -> int:
-    path = config.paths[0]
-    header = _sniff_header(path)
-    if header[: len(INDIVIDUALS_HEADER)] == INDIVIDUALS_HEADER:
-        records = load_individuals(path)
-        scheme, k = config.bins
-        table, _ = bin_individuals(records, scheme=scheme, k=k)
+def cmd_eval(args: argparse.Namespace) -> int:
+    (path,) = _input_paths(args.paths)
+    scheme, k = parse_bins(args.bins)
+    if read_header(path)[: len(INDIVIDUALS_HEADER)] == INDIVIDUALS_HEADER:
+        table, _ = bin_individuals(load_individuals(path), scheme=scheme, k=k)
     else:
         table = load_grouped(path)
         if table.declared_calibrated:
@@ -356,66 +287,58 @@ def cmd_eval(config: RunConfig) -> int:
                 "(declared-calibrated)",
                 file=sys.stderr,
             )
-    report = evaluate(table)
-    writer = Writer(config.out_dir, config.out_format, config.percent)
-    writer.add_report("metrics", "metrics", _metrics_pairs(report))
+    writer = Writer(Path(args.out), args.format, args.percent)
+    writer.add_report("metrics", "metrics", _report_pairs(evaluate(table)))
     writer.add_text("attributes.csv", _attributes_csv(table))
     for out in writer.flush():
         print(f"wrote {out}")
     return 0
 
 
-def cmd_compare(config: RunConfig) -> int:
-    if len(config.paths) == 1:
-        path = config.paths[0]
-        header = _sniff_header(path)
+def cmd_compare(args: argparse.Namespace) -> int:
+    paths = _input_paths(args.paths)
+    if len(paths) == 1:
+        header = read_header(paths[0])
         if header == CROSS_DECILE_HEADER:
-            if config.mortality is None or config.horizon is None:
-                raise ParameterOutOfRange(
-                    "cross-decile input needs --mortality and --horizon"
-                )
-            joint = load_cross_decile(path, config.mortality, config.horizon)
+            if args.mortality is None or args.horizon is None:
+                raise ParameterOutOfRange("cross-decile input needs --mortality and --horizon")
+            joint = load_cross_decile(paths[0], args.mortality, args.horizon)
         elif header == JOINT_HEADER:
-            joint = load_joint(path)
+            joint = load_joint(paths[0])
         else:
             raise ParseError(
-                f"{path}: expected header {','.join(JOINT_HEADER)} or "
+                f"{paths[0]}: expected header {','.join(JOINT_HEADER)} or "
                 f"{','.join(CROSS_DECILE_HEADER)}"
             )
         table1, table2 = joint.marginal(1), joint.marginal(2)
-    else:
-        table1, table2 = load_grouped(config.paths[0]), load_grouped(config.paths[1])
-        joint = load_joint(config.paths[2])
+    elif len(paths) == 3:
+        table1, table2 = load_grouped(paths[0]), load_grouped(paths[1])
+        joint = load_joint(paths[2])
         for t in (table1, table2):
             gap = abs(t.population_mean - joint.population_mean)
-            if gap > 1e-9 * max(abs(t.population_mean), abs(joint.population_mean)):
+            if gap > MEAN_MATCH_RTOL * max(abs(t.population_mean), abs(joint.population_mean)):
                 raise MeanMismatch(
                     f"grouped table mean {t.population_mean!r} does not match "
                     f"joint table mean {joint.population_mean!r}"
                 )
+    else:
+        raise ParseError("compare takes one table path or GROUPED1 GROUPED2 JOINT")
     comp = compare(table1, table2)
     gain = subgroup_precision_gain(joint)
     risks1 = {g.key: g.risk for g in table1.groups}
     risks2 = {g.key: g.risk for g in table2.groups}
     cell_rows = cross_classified_bias(joint, risks1, risks2)
-    writer = Writer(config.out_dir, config.out_format, config.percent)
-    writer.add_report(
-        "comparison", "comparison", [(f, getattr(comp, f)) for f in COMPARISON_FIELDS]
-    )
-    writer.add_report(
-        "subgroup_gain",
-        "subgroup_gain",
-        [("population_mean", gain.population_mean), ("total_gain", gain.total_gain)],
-        rows=_subgroup_rows(gain),
-    )
+    writer = Writer(Path(args.out), args.format, args.percent)
+    writer.add_report("comparison", "comparison", _report_pairs(comp))
+    _add_gain_report(writer, "subgroup_gain", gain)
     writer.add_text(
         "cell_bias.csv",
-        "group1,group2,mass,prevalence,risk1,risk2,bias1,bias2\n"
-        + "".join(
-            f"{c.key1},{c.key2},{format_label(c.mass)},{format_label(c.prevalence)},"
-            f"{format_label(c.risk1)},{format_label(c.risk2)},"
-            f"{format_label(c.bias1)},{format_label(c.bias2)}\n"
-            for c in cell_rows
+        format_csv(
+            ("group1", "group2", "mass", "prevalence", "risk1", "risk2", "bias1", "bias2"),
+            (
+                (c.key1, c.key2, c.mass, c.prevalence, c.risk1, c.risk2, c.bias1, c.bias2)
+                for c in cell_rows
+            ),
         ),
     )
     for out in writer.flush():
@@ -423,59 +346,21 @@ def cmd_compare(config: RunConfig) -> int:
     return 0
 
 
-def cmd_convert(incidence: float, mortality: float, horizon: float) -> int:
-    risk = ten_year_risk(incidence, mortality, horizon)
-    print(f"risk over {format_label(horizon)} years: "
+def cmd_convert(args: argparse.Namespace) -> int:
+    risk = ten_year_risk(args.incidence, args.mortality, args.horizon)
+    print(f"risk over {format_label(args.horizon)} years: "
           f"{format_label(risk)} ({percent_round(risk)}%)")
     return 0
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    paths = tuple(Path(p) for p in getattr(args, "paths", []))
-    for p in paths:
-        if not p.exists():
-            raise ParseError(f"input file {p} does not exist")
-    alphas: tuple[float, ...] = ()
-    if getattr(args, "alpha", None) is not None:
-        try:
-            alphas = tuple(float(a) for a in str(args.alpha).split(","))
-        except ValueError:
-            raise ParameterOutOfRange(f"cannot parse --alpha {args.alpha!r}") from None
-        for a in alphas:
-            if not 0.0 <= a <= 1.0:
-                raise ParameterOutOfRange(f"alpha {a} outside [0, 1]")
-    if getattr(args, "incidence", None) is not None:
-        alphas = (args.incidence,)
-    subsets: tuple[tuple[str, ...], ...] = ()
-    if getattr(args, "models", None):
-        subsets = tuple(parse_subset(s) for s in args.models.split(","))
-        if len(set(subsets)) != len(subsets):
-            raise ParameterOutOfRange(f"--models {args.models!r} repeats a subset")
-    return RunConfig(
-        subcommand=args.command,
-        paths=paths,
-        alphas=alphas,
-        subsets=subsets,
-        bins=parse_bins(getattr(args, "bins", "unique")),
-        mortality=getattr(args, "mortality", None),
-        horizon=getattr(args, "horizon", None),
-        out_format=getattr(args, "format", "csv"),
-        out_dir=Path(getattr(args, "out", "out")),
-        percent=bool(getattr(args, "percent", False)),
-    )
-
-
 def dispatch(args: argparse.Namespace) -> int:
-    if args.command == "convert":
-        return cmd_convert(args.incidence, args.mortality, args.horizon)
-    config = _config_from_args(args)
-    if config.subcommand == "synth":
-        return cmd_synth(config)
-    if config.subcommand == "eval":
-        return cmd_eval(config)
-    if len(config.paths) not in (1, 3):
-        raise ParseError("compare takes one table path or GROUPED1 GROUPED2 JOINT")
-    return cmd_compare(config)
+    commands = {
+        "synth": cmd_synth,
+        "eval": cmd_eval,
+        "compare": cmd_compare,
+        "convert": cmd_convert,
+    }
+    return commands[args.command](args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
+from .distributions import _check_unit_interval
 from .errors import (
     GroupKeyMismatch,
     InternalInvariantError,
@@ -19,7 +20,7 @@ from .errors import (
     MissingAssignment,
 )
 from .metrics import IDENTITY_TOL, evaluate
-from .tables import GroupedModelTable, JointModelTable, _check_unit_interval, make_grouped_table
+from .tables import GroupedModelTable, JointModelTable, make_grouped_table
 
 MEAN_MATCH_RTOL = 1e-9
 

@@ -14,6 +14,46 @@ MASS_SUM_TOL = 1e-9
 RISK_MERGE_TOL = 1e-12
 
 
+def _check_unit_interval(name: str, x: float) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise NonFiniteValue(f"non-finite {name} {x}")
+    if not 0.0 <= x <= 1.0:
+        raise RiskOutOfRange(f"{name} {x} outside [0, 1]")
+    return x
+
+
+def _check_mass(f: float) -> float:
+    f = float(f)
+    if not math.isfinite(f):
+        raise NonFiniteValue(f"non-finite mass {f}")
+    if f < 0.0:
+        raise MassSumOutOfTolerance(f"negative mass {f}")
+    return f
+
+
+def _check_total_mass(total: float) -> None:
+    if abs(total - 1.0) > MASS_SUM_TOL:
+        raise MassSumOutOfTolerance(f"masses sum to {total!r}, not 1 within {MASS_SUM_TOL}")
+
+
+def _merge_tied_risks(rows) -> list[list]:
+    """Merge risk-sorted (risk, mass, prevalence, key) rows with tied risks.
+
+    Consecutive rows whose risks agree within RISK_MERGE_TOL become one
+    [risk, mass, prevalence, keys] entry, risk and prevalence mass-weighted.
+    """
+    merged: list[list] = []
+    for risk, mass, prev, key in rows:
+        if merged and risk - merged[-1][0] <= RISK_MERGE_TOL:
+            r0, m0, p0, keys = merged[-1]
+            m = m0 + mass
+            merged[-1] = [(r0 * m0 + risk * mass) / m, m, (p0 * m0 + prev * mass) / m, keys + [key]]
+        else:
+            merged.append([risk, mass, prev, [key]])
+    return merged
+
+
 @dataclass(frozen=True)
 class RiskDistribution:
     """Finite support distribution of true risk.
@@ -48,31 +88,16 @@ def make_distribution(points) -> RiskDistribution:
     (mass-weighted), and the result is sorted by risk. Masses must sum to 1
     within 1e-9 after validation.
     """
-    pairs = [(float(p), float(f)) for p, f in points]
+    pairs = [(_check_unit_interval("risk", p), _check_mass(f)) for p, f in points]
     if not pairs:
         raise EmptyInput("risk distribution needs at least one support point")
-    for p, f in pairs:
-        if not (math.isfinite(p) and math.isfinite(f)):
-            raise NonFiniteValue(f"non-finite support point ({p}, {f})")
-        if not 0.0 <= p <= 1.0:
-            raise RiskOutOfRange(f"risk {p} outside [0, 1]")
-        if f < 0.0:
-            raise MassSumOutOfTolerance(f"negative mass {f}")
     pairs = [(p, f) for p, f in pairs if f > 0.0]
     if not pairs:
         raise EmptyInput("all support points have zero mass")
-    total = math.fsum(f for _, f in pairs)
-    if abs(total - 1.0) > MASS_SUM_TOL:
-        raise MassSumOutOfTolerance(f"masses sum to {total!r}, not 1 within {MASS_SUM_TOL}")
+    _check_total_mass(math.fsum(f for _, f in pairs))
     pairs.sort()
-    merged: list[tuple[float, float]] = []
-    for p, f in pairs:
-        if merged and p - merged[-1][0] <= RISK_MERGE_TOL:
-            q, g = merged[-1]
-            merged[-1] = ((q * g + p * f) / (g + f), g + f)
-        else:
-            merged.append((p, f))
-    return RiskDistribution(points=tuple(merged))
+    merged = _merge_tied_risks((p, f, p, None) for p, f in pairs)
+    return RiskDistribution(points=tuple((p, f) for p, f, _, _ in merged))
 
 
 def constant_distribution(pi: float) -> RiskDistribution:
@@ -85,8 +110,5 @@ def deterministic_distribution(pi: float) -> RiskDistribution:
 
     Variance is pi*(1 - pi), the upper bound for any distribution with mean pi.
     """
-    if not math.isfinite(pi):
-        raise NonFiniteValue(f"non-finite rate {pi}")
-    if not 0.0 <= pi <= 1.0:
-        raise RiskOutOfRange(f"rate {pi} outside [0, 1]")
+    pi = _check_unit_interval("rate", pi)
     return make_distribution([(0.0, 1.0 - pi), (1.0, pi)])

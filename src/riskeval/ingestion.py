@@ -6,6 +6,7 @@ round trips agree within 1e-12 and golden files are byte-stable.
 """
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from importlib import resources
@@ -28,6 +29,7 @@ from .errors import (
 from .tables import (
     GroupedModelTable,
     JointModelTable,
+    _merge_by_key,
     format_label,
     make_grouped_table,
     make_joint_table,
@@ -60,30 +62,40 @@ def ten_year_risk(incidence: float, mortality: float, horizon: float) -> float:
     return -lam / (lam + mu) * math.expm1(-(lam + mu) * t)
 
 
+def read_header(path) -> list[str]:
+    """Stripped fields of a CSV file's first line (empty for an empty file)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            fields = next(csv.reader([fh.readline()]))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    return [h.strip() for h in fields]
+
+
 def _read_rows(path, expected_header: list[str], optional: set[str] = frozenset()):
     path = Path(path)
+    header = read_header(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    try:
-        header = next(reader)
-    except StopIteration:
+    if not lines:
         raise ParseError(f"{path}: empty file, expected header {','.join(expected_header)}")
-    header = [h.strip() for h in header]
     required = [h for h in expected_header if h not in optional]
     if header != expected_header and header != required:
         raise ParseError(
             f"{path}: header {','.join(header)!r} does not match {','.join(expected_header)!r}"
         )
     rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not field.strip() for field in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-        rows.append((lineno, dict(zip(header, (field.strip() for field in row)))))
+    try:
+        for lineno, row in enumerate(csv.reader(itertools.islice(lines, 1, None)), start=2):
+            if not row or all(not field.strip() for field in row):
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            rows.append((lineno, dict(zip(header, (field.strip() for field in row)))))
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: no data rows")
     return path, rows
@@ -233,20 +245,21 @@ def bin_individuals(
         risk2_of = np.bincount(ids2, weights=risks2, minlength=len(labels2)) / counts2
     else:
         risk2_of = exact2
-    pair_ids = ids1 * len(labels2) + ids2
-    pair_counts = np.bincount(pair_ids, minlength=len(labels1) * len(labels2))
-    pair_cases = np.bincount(pair_ids, weights=outcomes, minlength=len(labels1) * len(labels2))
+    # Sparse pair ids: only occupied (group1, group2) pairs get a slot.
+    pair_ids, pair_of = np.unique(ids1 * len(labels2) + ids2, return_inverse=True)
+    pair_counts = np.bincount(pair_of)
+    pair_cases = np.bincount(pair_of, weights=outcomes)
     cells = []
-    for pid in np.nonzero(pair_counts)[0]:
-        i, j = divmod(int(pid), len(labels2))
+    for p, pid in enumerate(pair_ids.tolist()):
+        i, j = divmod(pid, len(labels2))
         cells.append(
             (
                 labels1[i],
                 labels2[j],
                 risk1_of[i],
                 risk2_of[j],
-                pair_counts[pid] / n,
-                pair_cases[pid] / pair_counts[pid],
+                pair_counts[p] / n,
+                pair_cases[p] / pair_counts[p],
             )
         )
     return grouped, make_joint_table(cells)
@@ -287,18 +300,9 @@ class CrossDecileTable:
             for c in cells:
                 prev = ten_year_risk(c.cases / c.person_years, self.mortality, self.horizon)
                 raw.append((c.decile1, c.decile2, c.person_years / row_py / n_rows, prev))
-        mass1: dict[int, float] = {}
-        mass2: dict[int, float] = {}
-        wsum1: dict[int, float] = {}
-        wsum2: dict[int, float] = {}
-        for d1, d2, mass, prev in raw:
-            mass1[d1] = mass1.get(d1, 0.0) + mass
-            wsum1[d1] = wsum1.get(d1, 0.0) + mass * prev
-            mass2[d2] = mass2.get(d2, 0.0) + mass
-            wsum2[d2] = wsum2.get(d2, 0.0) + mass * prev
-        risk1 = {d: wsum1[d] / mass1[d] for d in mass1}
-        risk2 = {d: wsum2[d] / mass2[d] for d in mass2}
-        width = max(len(str(d)) for d in list(mass1) + list(mass2))
+        risk1 = {d: p for d, _, _, p in _merge_by_key((d1, (), m, p) for d1, _, m, p in raw)}
+        risk2 = {d: p for d, _, _, p in _merge_by_key((d2, (), m, p) for _, d2, m, p in raw)}
+        width = max(len(str(d)) for d in list(risk1) + list(risk2))
         return make_joint_table(
             (
                 f"d{d1:0{width}d}",
@@ -331,7 +335,7 @@ def read_cross_decile(path, mortality: float, horizon: float) -> CrossDecileTabl
             ) from None
         py = _parse_float(path, lineno, "person_years", row["person_years"])
         cases_f = _parse_float(path, lineno, "cases", row["cases"])
-        if cases_f < 0 or cases_f != int(cases_f):
+        if not math.isfinite(cases_f) or cases_f < 0 or cases_f != int(cases_f):
             raise ParseError(f"{path}:{lineno}: cases {row['cases']!r} must be a nonnegative integer")
         cases = int(cases_f)
         if py <= 0.0:
@@ -362,22 +366,39 @@ def example_cross_decile_path() -> Path:
     return Path(str(resources.files("riskeval").joinpath("data/example_crossdecile.csv")))
 
 
+def _csv_text(v) -> str:
+    text = str(v)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def format_csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row of values.
+
+    Floats are written at 12 significant digits, as format_label writes them;
+    a text field that holds a comma or a double quote is quoted, its quotes
+    doubled.
+    """
+    lines = [",".join(header)]
+    lines += [
+        ",".join([format(v, ".12g") if isinstance(v, float) else _csv_text(v) for v in row])
+        for row in rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def grouped_csv(table: GroupedModelTable) -> str:
+    """`risk,mass,prevalence` CSV text of a grouped table."""
+    return format_csv(GROUPED_HEADER, ((g.risk, g.mass, g.prevalence) for g in table.groups))
+
+
 def write_grouped(table: GroupedModelTable, path) -> None:
     """Write `risk,mass,prevalence` CSV at 12 significant digits."""
-    lines = [",".join(GROUPED_HEADER)]
-    lines += [
-        f"{format_label(g.risk)},{format_label(g.mass)},{format_label(g.prevalence)}"
-        for g in table.groups
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(grouped_csv(table), encoding="utf-8")
 
 
 def write_joint(table: JointModelTable, path) -> None:
     """Write `r1,r2,mass,prevalence` CSV at 12 significant digits."""
-    lines = [",".join(JOINT_HEADER)]
-    lines += [
-        f"{format_label(c.risk1)},{format_label(c.risk2)},"
-        f"{format_label(c.mass)},{format_label(c.prevalence)}"
-        for c in table.cells
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ((c.risk1, c.risk2, c.mass, c.prevalence) for c in table.cells)
+    Path(path).write_text(format_csv(JOINT_HEADER, rows), encoding="utf-8")

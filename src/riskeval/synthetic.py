@@ -17,7 +17,13 @@ from dataclasses import dataclass
 
 from .distributions import RiskDistribution, make_distribution
 from .errors import ParameterOutOfRange
-from .tables import GroupedModelTable, JointModelTable, make_grouped_table, make_joint_table
+from .tables import (
+    GroupedModelTable,
+    JointModelTable,
+    _merge_by_key,
+    make_grouped_table,
+    make_joint_table,
+)
 
 COVARIATES = ("z0", "z1", "z2", "z3")
 
@@ -91,18 +97,14 @@ def _cell_label(cell: CovariateCell, subset: tuple[str, ...]) -> str:
 def _project(pop: SyntheticPopulation, subset):
     """Grouped table for a covariate subset plus the cell-label -> group-key map."""
     subset = _canonical_subset(subset)
-    acc: dict[str, list] = {}
-    for c in pop.cells:
-        if c.mass == 0.0:
-            continue
-        slot = acc.setdefault(_cell_label(c, subset), [0.0, 0.0])
-        slot[0] += c.mass
-        slot[1] += c.mass * c.risk
+    classes = _merge_by_key(
+        (_cell_label(c, subset), (), c.mass, c.risk) for c in pop.cells if c.mass != 0.0
+    )
     table = make_grouped_table(
         # Well-calibrated convention: assigned risk equals the subgroup
         # prevalence, so equal-prevalence subgroups merge at construction.
-        (label, wsum / mass, mass, wsum / mass)
-        for label, (mass, wsum) in acc.items()
+        (label, prev, mass, prev)
+        for label, _, mass, prev in classes
     )
     label_to_key = {
         member: g.key for g in table.groups for member in g.key.split("|")
@@ -122,12 +124,11 @@ def project_model(pop: SyntheticPopulation, subset) -> GroupedModelTable:
 
 def cross_classify(pop: SyntheticPopulation, subset1, subset2) -> JointModelTable:
     """Joint table of the two projected models, cells keyed by group pairs."""
-    table1, map1 = _project(pop, _canonical_subset(subset1))
-    table2, map2 = _project(pop, _canonical_subset(subset2))
+    s1, s2 = _canonical_subset(subset1), _canonical_subset(subset2)
+    table1, map1 = _project(pop, s1)
+    table2, map2 = _project(pop, s2)
     risk1 = {g.key: g.risk for g in table1.groups}
     risk2 = {g.key: g.risk for g in table2.groups}
-    s1 = _canonical_subset(subset1)
-    s2 = _canonical_subset(subset2)
     rows = []
     for c in pop.cells:
         if c.mass == 0.0:

@@ -13,14 +13,15 @@ groups of one model may legitimately share an assigned risk under another.
 import math
 from dataclasses import dataclass, field
 
-from .distributions import MASS_SUM_TOL, RISK_MERGE_TOL, RiskDistribution
-from .errors import (
-    EmptyInput,
-    InvariantViolation,
-    MassSumOutOfTolerance,
-    NonFiniteValue,
-    RiskOutOfRange,
+from .distributions import (
+    RISK_MERGE_TOL,
+    RiskDistribution,
+    _check_mass,
+    _check_total_mass,
+    _check_unit_interval,
+    _merge_tied_risks,
 )
+from .errors import EmptyInput, InvariantViolation
 
 
 def format_label(x: float) -> str:
@@ -28,27 +29,27 @@ def format_label(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _check_unit_interval(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise NonFiniteValue(f"non-finite {name} {x}")
-    if not 0.0 <= x <= 1.0:
-        raise RiskOutOfRange(f"{name} {x} outside [0, 1]")
-    return x
+def _merge_by_key(rows):
+    """Merge validated (key, risks, mass, prevalence) rows by key.
 
-
-def _check_mass(f: float) -> float:
-    f = float(f)
-    if not math.isfinite(f):
-        raise NonFiniteValue(f"non-finite mass {f}")
-    if f < 0.0:
-        raise MassSumOutOfTolerance(f"negative mass {f}")
-    return f
-
-
-def _check_total_mass(total: float) -> None:
-    if abs(total - 1.0) > MASS_SUM_TOL:
-        raise MassSumOutOfTolerance(f"masses sum to {total!r}, not 1 within {MASS_SUM_TOL}")
+    Masses add in row order and each key's risks tuple must agree within
+    RISK_MERGE_TOL. Returns an iterator over (key, risks, mass, prevalence),
+    one per key in order of first appearance, with the prevalence divided
+    once as sum(m p) / sum(m).
+    """
+    acc: dict = {}
+    for key, risks, mass, prev in rows:
+        slot = acc.get(key)
+        if slot is None:
+            acc[key] = [risks, mass, mass * prev]
+            continue
+        if risks != slot[0] and any(abs(a - b) > RISK_MERGE_TOL for a, b in zip(risks, slot[0])):
+            raise InvariantViolation(
+                f"group {key!r} carries conflicting assigned risks {slot[0]!r} and {risks!r}"
+            )
+        slot[1] += mass
+        slot[2] += mass * prev
+    return ((key, risks, mass, wsum / mass) for key, (risks, mass, wsum) in acc.items())
 
 
 @dataclass(frozen=True)
@@ -118,14 +119,7 @@ def make_grouped_table(
         raise EmptyInput("table needs at least one group with positive mass")
     _check_total_mass(math.fsum(m for _, m, _, _ in rows))
     rows.sort()
-    merged: list[list] = []
-    for risk, mass, prev, key in rows:
-        if merged and risk - merged[-1][0] <= RISK_MERGE_TOL:
-            r0, m0, p0, keys = merged[-1]
-            m = m0 + mass
-            merged[-1] = [(r0 * m0 + risk * mass) / m, m, (p0 * m0 + prev * mass) / m, keys + [key]]
-        else:
-            merged.append([risk, mass, prev, [key]])
+    merged = _merge_tied_risks(rows)
     groups = tuple(
         Group(key="|".join(sorted(keys)), risk=r, mass=m, prevalence=p)
         for r, m, p, keys in merged
@@ -186,19 +180,24 @@ class JointModelTable:
         """
         if axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
-        acc: dict[str, list] = {}
-        for c in self.cells:
-            key = c.key1 if axis == 1 else c.key2
-            risk = c.risk1 if axis == 1 else c.risk2
-            slot = acc.setdefault(key, [risk, 0.0, 0.0])
-            if abs(risk - slot[0]) > RISK_MERGE_TOL:
-                raise InvariantViolation(
-                    f"group {key!r} carries conflicting assigned risks {slot[0]!r} and {risk!r}"
-                )
-            slot[1] += c.mass
-            slot[2] += c.mass * c.prevalence
-        return make_grouped_table(
-            (key, risk, mass, wsum / mass) for key, (risk, mass, wsum) in acc.items()
+        if axis == 1:
+            rows = ((c.key1, (c.risk1,), c.mass, c.prevalence) for c in self.cells)
+        else:
+            rows = ((c.key2, (c.risk2,), c.mass, c.prevalence) for c in self.cells)
+        return make_grouped_table((k, risks[0], m, p) for k, risks, m, p in _merge_by_key(rows))
+
+
+def _validated_cells(cells):
+    """Positive-mass cells as ((key1, key2), (risk1, risk2), mass, prevalence) rows."""
+    for key1, key2, r1, r2, mass, prev in cells:
+        mass = _check_mass(mass)
+        if mass == 0.0:
+            continue
+        yield (
+            (str(key1), str(key2)),
+            (_check_unit_interval("risk1", r1), _check_unit_interval("risk2", r2)),
+            mass,
+            _check_unit_interval("prevalence", prev),
         )
 
 
@@ -208,36 +207,17 @@ def make_joint_table(cells) -> JointModelTable:
     Zero-mass cells are dropped; duplicate (key1, key2) cells are merged with
     mass-weighted prevalence and must agree on both assigned risks.
     """
-    acc: dict[tuple[str, str], list] = {}
-    for key1, key2, r1, r2, mass, prev in cells:
-        mass = _check_mass(mass)
-        if mass == 0.0:
-            continue
-        r1 = _check_unit_interval("risk1", r1)
-        r2 = _check_unit_interval("risk2", r2)
-        prev = _check_unit_interval("prevalence", prev)
-        k = (str(key1), str(key2))
-        if k in acc:
-            slot = acc[k]
-            if abs(r1 - slot[0]) > RISK_MERGE_TOL or abs(r2 - slot[1]) > RISK_MERGE_TOL:
-                raise InvariantViolation(f"cell {k} repeated with conflicting risks")
-            slot[2] += mass
-            slot[3] += mass * prev
-        else:
-            acc[k] = [r1, r2, mass, prev * mass]
-    if not acc:
-        raise EmptyInput("joint table needs at least one cell with positive mass")
-    _check_total_mass(math.fsum(slot[2] for slot in acc.values()))
     cells_out = tuple(
         sorted(
             (
-                JointCell(
-                    key1=k1, key2=k2, risk1=r1, risk2=r2, mass=m, prevalence=wsum / m
-                )
-                for (k1, k2), (r1, r2, m, wsum) in acc.items()
+                JointCell(key1=k1, key2=k2, risk1=r1, risk2=r2, mass=m, prevalence=p)
+                for (k1, k2), (r1, r2), m, p in _merge_by_key(_validated_cells(cells))
             ),
             key=lambda c: (c.risk1, c.risk2, c.key1, c.key2),
         )
     )
+    if not cells_out:
+        raise EmptyInput("joint table needs at least one cell with positive mass")
+    _check_total_mass(math.fsum(c.mass for c in cells_out))
     mean = math.fsum(c.mass * c.prevalence for c in cells_out)
     return JointModelTable(cells=cells_out, population_mean=mean)

@@ -1,10 +1,16 @@
 """End-to-end runs of the command-line front end."""
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riskeval
 from riskeval import evaluate, ten_year_risk, write_grouped, write_joint
@@ -299,6 +305,19 @@ class TestSynth:
         for name in names1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_subgroup_keys_with_commas_are_quoted(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = row_block(out / "subgroup_gain_alpha0.8.csv")
+        assert [row["group"] for row in rows] == [
+            "z0=-1,z1=1", "z0=-1,z1=0", "z0=0,z1=0|z0=0,z1=1", "z0=1,z1=0", "z0=1,z1=1",
+        ]
+        for alpha in ("0.2", "0.8"):
+            for row in row_block(out / f"subgroup_gain_alpha{alpha}.csv"):
+                assert None not in row and None not in row.values()
+                assert float(row["sd"]) >= 0.0
+
     def test_json_matrix_shape(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["synth", "--out", str(out), "--format", "json"]) == 0
@@ -320,3 +339,39 @@ class TestParser:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+
+INPUT_HEADERS = (
+    "risk,mass,prevalence",
+    "risk,mass",
+    "r1,r2,mass,prevalence",
+    "risk1,risk2,outcome",
+    "decile1,decile2,person_years,cases",
+)
+TOKENS = ("0", "1", "2", "0.5", "0.25", "-1", "1e400", "nan", "inf", "", " ", "x", '"', "\xff")
+ROWS = st.lists(
+    st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5).map(",".join), max_size=6
+).map("\n".join)
+
+
+class TestArbitraryInput:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        header=st.sampled_from(INPUT_HEADERS),
+        body=st.one_of(
+            st.text().map(lambda t: t.encode("utf-8", "surrogatepass")),
+            st.binary(),
+            ROWS.map(str.encode),
+        ),
+    )
+    def test_exit_code_is_0_or_2(self, header, body):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input.csv"
+            path.write_bytes(header.encode() + b"\n" + body)
+            out = str(Path(tmp) / "out")
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                assert main(["eval", str(path), "--out", out]) in (0, 2)
+                assert main(
+                    ["compare", str(path), "--mortality", "0.005", "--horizon", "10", "--out", out]
+                ) in (0, 2)

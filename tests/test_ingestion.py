@@ -1,6 +1,7 @@
 """File formats, binning, rate conversion, and the bundled count table."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from riskeval import (
     write_grouped,
     write_joint,
 )
+from riskeval.ingestion import format_csv
 
 TOL = 1e-12
 
@@ -456,3 +458,49 @@ class TestCrossDecile:
         toomany.write_text("decile1,decile2,person_years,cases\n1,1,100,20\n")
         with pytest.raises(InvariantViolation):
             read_cross_decile(toomany, 0.0053, 10)
+
+
+class TestInputRobustness:
+    @pytest.mark.parametrize("cases", ["nan", "inf", "1e400"])
+    def test_non_finite_cases_rejected(self, tmp_path, cases):
+        path = tmp_path / "x.csv"
+        path.write_text(f"decile1,decile2,person_years,cases\n1,1,1000,{cases}\n")
+        with pytest.raises(ParseError):
+            read_cross_decile(path, 0.0053, 10)
+
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_non_utf8_rejected(self, tmp_path, where):
+        path = tmp_path / "x.csv"
+        header, body = b"risk,mass,prevalence\n", b"0.1,1,0.1\n"
+        if where == "header":
+            header = b"risk,\xff\n"
+        else:
+            body = b"0.1,1,0.\xff\n"
+        path.write_bytes(header + body)
+        with pytest.raises(ParseError):
+            load_grouped(path)
+
+
+class TestSparsePairBinning:
+    def test_distinct_risks_need_no_dense_pair_array(self):
+        # 3000 distinct risks per model: a dense pair count would hold 9M slots.
+        n = 3000
+        records = [
+            IndividualRecord(risk1=(i + 0.5) / n, risk2=((i * 7) % n + 0.5) / n, outcome=i % 2)
+            for i in range(n)
+        ]
+        tracemalloc.start()
+        try:
+            grouped, joint = bin_individuals(records, scheme="unique-values")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grouped.groups) == n and len(joint.cells) == n
+        assert all(abs(c.mass - 1 / n) <= TOL for c in joint.cells)
+        assert peak < 32 * 2**20
+
+
+class TestFormatCsv:
+    def test_floats_and_quoting(self):
+        text = format_csv(("key", "value"), [("a,b", 0.1 + 0.2), ('say "hi"', 1.0), ("plain", 2)])
+        assert text == 'key,value\n"a,b",0.3\n"say ""hi""",1\nplain,2\n'
