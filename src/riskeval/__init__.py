@@ -48,6 +48,7 @@ from .ingestion import (
     CrossDecileCell,
     CrossDecileTable,
     IndividualRecord,
+    IndividualRecords,
     bin_individuals,
     example_cross_decile_path,
     load_cross_decile,

@@ -23,7 +23,7 @@ CSV text fields that hold a comma or a double quote are quoted.
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 
@@ -278,7 +278,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     (path,) = _input_paths(args.paths)
     scheme, k = parse_bins(args.bins)
     if read_header(path)[: len(INDIVIDUALS_HEADER)] == INDIVIDUALS_HEADER:
-        table, _ = bin_individuals(load_individuals(path), scheme=scheme, k=k)
+        # Only model 1 is scored: risk2 is validated on load but never binned.
+        records = replace(load_individuals(path), risk2=None)
+        table, _ = bin_individuals(records, scheme=scheme, k=k)
     else:
         table = load_grouped(path)
         if table.declared_calibrated:

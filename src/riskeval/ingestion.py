@@ -72,7 +72,41 @@ def read_header(path) -> list[str]:
     return [h.strip() for h in fields]
 
 
-def _read_rows(path, expected_header: list[str], optional: set[str] = frozenset()):
+def _tally(rows, widths: list[int]):
+    """Pass rows through, appending each row's field count to widths."""
+    for row in rows:
+        widths.append(len(row))
+        yield row
+
+
+def _kept_rows(path, width: int, widths: list[int], fields: list[str]):
+    """One pass over the rows held flat in fields, row i having widths[i] fields.
+
+    Skips rows whose fields are all blank and rejects a row of the wrong
+    width at its line. Returns the kept rows' line numbers and flat fields.
+    """
+    linenos, kept, pos = [], [], 0
+    for lineno, w in enumerate(widths, start=2):
+        row = fields[pos : pos + w]
+        pos += w
+        if not any(row):
+            continue
+        if w != width:
+            raise ParseError(f"{path}:{lineno}: expected {width} fields, got {w}")
+        linenos.append(lineno)
+        kept += row
+    return linenos, kept
+
+
+def _read_columns(path, expected_header: list[str], optional: set[str] = frozenset()):
+    """Read a CSV file into one list of stripped field strings per column.
+
+    Returns (path, line numbers of the data rows, {column name: fields}),
+    columns in header order. Rows whose fields are all blank are skipped.
+    The rows are read into one flat field list, so no container per row
+    outlives the read; when every row has the header's width and a nonblank
+    first field, the columns are plain strided slices of that list.
+    """
     path = Path(path)
     header = read_header(path)
     try:
@@ -86,19 +120,23 @@ def _read_rows(path, expected_header: list[str], optional: set[str] = frozenset(
         raise ParseError(
             f"{path}: header {','.join(header)!r} does not match {','.join(expected_header)!r}"
         )
-    rows = []
+    width = len(header)
+    widths: list[int] = []
+    fields: list[str] = []
+    rows = _tally(csv.reader(itertools.islice(lines, 1, None)), widths)
     try:
-        for lineno, row in enumerate(csv.reader(itertools.islice(lines, 1, None)), start=2):
-            if not row or all(not field.strip() for field in row):
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append((lineno, dict(zip(header, (field.strip() for field in row)))))
+        fields += map(str.strip, itertools.chain.from_iterable(rows))
     except csv.Error as exc:
+        _kept_rows(path, width, widths, fields)  # a bad row read first is reported first
         raise ParseError(f"{path}: {exc}") from exc
-    if not rows:
+    del lines, rows  # release the split text before the columns are built
+    if widths.count(width) == len(widths) and "" not in fields[::width]:
+        linenos = range(2, len(widths) + 2)
+    else:
+        linenos, fields = _kept_rows(path, width, widths, fields)
+    if not linenos:
         raise ParseError(f"{path}: no data rows")
-    return path, rows
+    return path, linenos, {name: fields[j::width] for j, name in enumerate(header)}
 
 
 def _parse_float(path, lineno: int, name: str, text: str) -> float:
@@ -115,13 +153,15 @@ def load_grouped(path) -> GroupedModelTable:
     omitted prevalences default to the assigned risk and the returned table is
     flagged declared_calibrated.
     """
-    path, rows = _read_rows(path, GROUPED_HEADER, optional={"prevalence"})
+    path, linenos, columns = _read_columns(path, GROUPED_HEADER, optional={"prevalence"})
     entries = []
     declared = False
-    for lineno, row in rows:
-        risk = _parse_float(path, lineno, "risk", row["risk"])
-        mass = _parse_float(path, lineno, "mass", row["mass"])
-        prev_text = row.get("prevalence", "")
+    prevalences = columns.get("prevalence", itertools.repeat(""))
+    for lineno, risk_text, mass_text, prev_text in zip(
+        linenos, columns["risk"], columns["mass"], prevalences
+    ):
+        risk = _parse_float(path, lineno, "risk", risk_text)
+        mass = _parse_float(path, lineno, "mass", mass_text)
         if prev_text:
             prev = _parse_float(path, lineno, "prevalence", prev_text)
         else:
@@ -137,13 +177,13 @@ def load_joint(path) -> JointModelTable:
     Cells are keyed by their formatted risk pair; duplicate keys merge with
     mass-weighted prevalence.
     """
-    path, rows = _read_rows(path, JOINT_HEADER)
+    path, linenos, columns = _read_columns(path, JOINT_HEADER)
     cells = []
-    for lineno, row in rows:
-        r1 = _parse_float(path, lineno, "r1", row["r1"])
-        r2 = _parse_float(path, lineno, "r2", row["r2"])
-        mass = _parse_float(path, lineno, "mass", row["mass"])
-        prev = _parse_float(path, lineno, "prevalence", row["prevalence"])
+    for lineno, r1_text, r2_text, mass_text, prev_text in zip(linenos, *columns.values()):
+        r1 = _parse_float(path, lineno, "r1", r1_text)
+        r2 = _parse_float(path, lineno, "r2", r2_text)
+        mass = _parse_float(path, lineno, "mass", mass_text)
+        prev = _parse_float(path, lineno, "prevalence", prev_text)
         cells.append((format_label(r1), format_label(r2), r1, r2, mass, prev))
     return make_joint_table(cells)
 
@@ -156,23 +196,96 @@ class IndividualRecord(NamedTuple):
     outcome: int
 
 
-def load_individuals(path) -> list[IndividualRecord]:
-    """Load `risk1,risk2,outcome` CSV; the risk2 field may be empty throughout."""
-    path, rows = _read_rows(path, INDIVIDUALS_HEADER)
+@dataclass(frozen=True, eq=False)
+class IndividualRecords:
+    """Person-level records held as columns, one array per field.
+
+    risk1 is float64; risk2 is float64, or None when no record carries a
+    second risk; outcome holds 0/1. Iteration yields IndividualRecord tuples
+    of Python floats and ints (risk2 None when absent), and the records
+    compare equal to the list of those tuples.
+    """
+
+    risk1: np.ndarray
+    risk2: np.ndarray | None
+    outcome: np.ndarray
+
+    @classmethod
+    def from_records(cls, records) -> "IndividualRecords":
+        """Columns of an IndividualRecord sequence; risk2 follows the first record."""
+        records = list(records)
+        risk2 = None
+        if records and records[0].risk2 is not None:
+            risk2 = np.array([r.risk2 for r in records], dtype=float)
+        return cls(
+            risk1=np.array([r.risk1 for r in records], dtype=float),
+            risk2=risk2,
+            outcome=np.array([r.outcome for r in records]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.risk1)
+
+    def __iter__(self):
+        risk2 = itertools.repeat(None) if self.risk2 is None else self.risk2.tolist()
+        return map(IndividualRecord, self.risk1.tolist(), risk2, self.outcome.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, IndividualRecords):
+            other = list(other)
+        return list(self) == other if isinstance(other, list) else NotImplemented
+
+
+def _unit_column(texts: list[str]) -> np.ndarray | None:
+    """Fields parsed with float, or None if one does not parse or lies outside [0, 1]."""
+    try:
+        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        return None
+    return values if ((values >= 0.0) & (values <= 1.0)).all() else None
+
+
+def _records_by_row(path, linenos, risk1_texts, risk2_texts, outcome_texts) -> IndividualRecords:
+    """Check and convert record fields one row at a time, in file order.
+
+    The first failing check raises: risk1 parse, risk2 parse, outcome, risk1
+    range, risk2 range; a risk2 column filled on some rows only raises after
+    the last row.
+    """
     records = []
-    for lineno, row in rows:
-        risk1 = _parse_float(path, lineno, "risk1", row["risk1"])
-        risk2 = _parse_float(path, lineno, "risk2", row["risk2"]) if row["risk2"] else None
-        if row["outcome"] not in ("0", "1"):
-            raise ParseError(f"{path}:{lineno}: outcome {row['outcome']!r} must be 0 or 1")
+    for lineno, risk1_text, risk2_text, outcome_text in zip(
+        linenos, risk1_texts, risk2_texts, outcome_texts
+    ):
+        risk1 = _parse_float(path, lineno, "risk1", risk1_text)
+        risk2 = _parse_float(path, lineno, "risk2", risk2_text) if risk2_text else None
+        if outcome_text not in ("0", "1"):
+            raise ParseError(f"{path}:{lineno}: outcome {outcome_text!r} must be 0 or 1")
         for name, r in (("risk1", risk1), ("risk2", risk2)):
             if r is not None and not 0.0 <= r <= 1.0:
                 raise RiskOutOfRange(f"{path}:{lineno}: {name} {r} outside [0, 1]")
-        records.append(IndividualRecord(risk1=risk1, risk2=risk2, outcome=int(row["outcome"])))
+        records.append(IndividualRecord(risk1=risk1, risk2=risk2, outcome=int(outcome_text)))
     present = [r.risk2 is not None for r in records]
     if any(present) and not all(present):
         raise ParseError(f"{path}: risk2 must be present on all rows or none")
-    return records
+    return IndividualRecords.from_records(records)
+
+
+def load_individuals(path) -> IndividualRecords:
+    """Load `risk1,risk2,outcome` CSV into columns; risk2 may be empty throughout.
+
+    Each column is checked whole; only when a check fails are the rows
+    walked one by one, so that the first bad field in file order is reported.
+    """
+    path, linenos, columns = _read_columns(path, INDIVIDUALS_HEADER)
+    risk1_texts, risk2_texts, outcome_texts = columns.values()
+    no_risk2 = risk2_texts.count("") == len(linenos)
+    risk1 = _unit_column(risk1_texts)
+    risk2 = None if no_risk2 else _unit_column(risk2_texts)
+    if risk1 is None or (risk2 is None and not no_risk2) or not set(outcome_texts) <= {"0", "1"}:
+        return _records_by_row(path, linenos, risk1_texts, risk2_texts, outcome_texts)
+    # Every outcome field is "0" or "1" here, one ASCII character each.
+    outcome = np.frombuffer("".join(outcome_texts).encode("ascii"), dtype=np.uint8) - ord("0")
+    return IndividualRecords(risk1=risk1, risk2=risk2, outcome=outcome)
 
 
 def _bin_ids(
@@ -210,7 +323,9 @@ def _bin_ids(
 
 
 def bin_individuals(
-    records: list[IndividualRecord], scheme: str = "unique-values", k: int = 10
+    records: IndividualRecords | list[IndividualRecord],
+    scheme: str = "unique-values",
+    k: int = 10,
 ) -> tuple[GroupedModelTable, JointModelTable | None]:
     """Group individual records into a model table.
 
@@ -219,13 +334,15 @@ def bin_individuals(
     are dropped). Groups carry the mean member risk (the distinct value itself
     under unique-values), the count share as mass, and the outcome share as
     prevalence. When records carry a second risk, the same scheme bins it and
-    the joint table of both models is returned too.
+    the joint table of both models is returned too. A list of
+    IndividualRecord is converted to columns first.
     """
-    if not records:
-        raise EmptyInput("no records to bin")
-    risks1 = np.array([r.risk1 for r in records], dtype=float)
-    outcomes = np.array([r.outcome for r in records], dtype=float)
+    if not isinstance(records, IndividualRecords):
+        records = IndividualRecords.from_records(records)
     n = len(records)
+    if not n:
+        raise EmptyInput("no records to bin")
+    risks1, outcomes = records.risk1, records.outcome
     ids1, labels1, exact1 = _bin_ids(risks1, scheme, k)
     counts1 = np.bincount(ids1, minlength=len(labels1))
     if exact1 is None:
@@ -236,9 +353,9 @@ def bin_individuals(
     grouped = make_grouped_table(
         (labels1[i], risk1_of[i], counts1[i] / n, prev1[i]) for i in range(len(labels1))
     )
-    if records[0].risk2 is None:
+    if records.risk2 is None:
         return grouped, None
-    risks2 = np.array([r.risk2 for r in records], dtype=float)
+    risks2 = records.risk2
     ids2, labels2, exact2 = _bin_ids(risks2, scheme, k)
     counts2 = np.bincount(ids2, minlength=len(labels2))
     if exact2 is None:
@@ -323,20 +440,20 @@ def read_cross_decile(path, mortality: float, horizon: float) -> CrossDecileTabl
         raise NegativeRate(f"mortality {mortality} must be nonnegative")
     if horizon <= 0.0:
         raise ParameterOutOfRange(f"horizon {horizon} must be positive")
-    path, rows = _read_rows(path, CROSS_DECILE_HEADER)
+    path, linenos, columns = _read_columns(path, CROSS_DECILE_HEADER)
     cells = []
     seen = set()
-    for lineno, row in rows:
+    for lineno, d1_text, d2_text, py_text, cases_text in zip(linenos, *columns.values()):
         try:
-            d1, d2 = int(row["decile1"]), int(row["decile2"])
+            d1, d2 = int(d1_text), int(d2_text)
         except ValueError:
             raise ParseError(
-                f"{path}:{lineno}: decile indices {row['decile1']!r},{row['decile2']!r} must be integers"
+                f"{path}:{lineno}: decile indices {d1_text!r},{d2_text!r} must be integers"
             ) from None
-        py = _parse_float(path, lineno, "person_years", row["person_years"])
-        cases_f = _parse_float(path, lineno, "cases", row["cases"])
+        py = _parse_float(path, lineno, "person_years", py_text)
+        cases_f = _parse_float(path, lineno, "cases", cases_text)
         if not math.isfinite(cases_f) or cases_f < 0 or cases_f != int(cases_f):
-            raise ParseError(f"{path}:{lineno}: cases {row['cases']!r} must be a nonnegative integer")
+            raise ParseError(f"{path}:{lineno}: cases {cases_text!r} must be a nonnegative integer")
         cases = int(cases_f)
         if py <= 0.0:
             if cases == 0:

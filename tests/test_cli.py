@@ -160,6 +160,27 @@ class TestEval:
         assert len(attr) == 10
         assert all(row["mass"] == "0.1" for row in attr)
 
+    def test_constant_risk2_does_not_block_deciles(self, tmp_path, capsys):
+        # eval scores risk1 only: a risk2 column too coarse for ten bins is
+        # validated but never binned.
+        rows = [(f"{(i * 7 % 300 + 0.5) / 300!r}", int(i % 3 == 0)) for i in range(300)]
+        metrics = {}
+        for name, risk2 in (("constant", "0.5"), ("empty", "")):
+            src = tmp_path / f"{name}.csv"
+            src.write_text(
+                "risk1,risk2,outcome\n" + "".join(f"{r},{risk2},{y}\n" for r, y in rows)
+            )
+            out = tmp_path / name
+            assert main(["eval", str(src), "--out", str(out), "--bins", "deciles"]) == 0
+            metrics[name] = (out / "metrics.csv").read_bytes()
+        assert metrics["constant"] == metrics["empty"]
+
+    def test_bad_risk2_still_rejected(self, tmp_path, capsys):
+        src = tmp_path / "bad.csv"
+        src.write_text("risk1,risk2,outcome\n0.1,0.2,0\n0.3,1.5,1\n")
+        assert main(["eval", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {src}:3: risk2 1.5 outside [0, 1]\n"
+
     def test_bad_bins_flag(self, tmp_path, capsys):
         src = tmp_path / "b1.csv"
         src.write_text(MODEL1_B_CSV)

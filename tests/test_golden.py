@@ -36,6 +36,36 @@ def _records_csv(path):
     return path
 
 
+def _untidy_records_csv(path):
+    """600 two-risk records written the way hand-edited files look.
+
+    CRLF line endings, blank lines, whitespace-only and `" , , "` rows,
+    quoted numbers and padded fields: every shape that the reader skips or
+    strips, so no row takes the plain comma-split path.
+    """
+    lines = ["risk1,risk2,outcome"]
+    for i in range(600):
+        r1 = i * 37 % 500
+        r2 = (i * 53 + 7) % 499
+        outcome = int(i * 7919 % 500 < r1)
+        fields = [f"0.{r1:03d}", f"0.{r2:03d}", str(outcome)]
+        if i % 5 == 1:
+            fields[0] = f'"{fields[0]}"'
+        if i % 7 == 2 and i % 5 != 1:
+            fields = [f"  {fields[0]} ", f" {fields[1]}", f"{fields[2]}  "]
+        if i % 11 == 3:
+            fields[1] = f'" {fields[1].strip()} "'
+        lines.append(",".join(fields))
+        if i % 13 == 4:
+            lines.append("")
+        if i % 17 == 5:
+            lines.append("   ")
+        if i % 19 == 6:
+            lines.append(" , , ")
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    return path
+
+
 def _model_files(tmp_path):
     pop = build_population(0.8)
     g1, g2, joint = (tmp_path / n for n in ("g1.csv", "g2.csv", "joint.csv"))
@@ -73,6 +103,12 @@ SCENARIOS = {
     "eval_records_quantiles7": lambda t: [
         "eval", str(_records_csv(t / "rec.csv")), "--bins", "quantiles:7"
     ],
+    "eval_untidy_records_deciles": lambda t: [
+        "eval", str(_untidy_records_csv(t / "untidy.csv")), "--bins", "deciles"
+    ],
+    "eval_untidy_records_unique": lambda t: [
+        "eval", str(_untidy_records_csv(t / "untidy.csv")), "--bins", "unique"
+    ],
     "eval_grouped_no_prevalence": lambda t: ["eval", str(_no_prevalence_csv(t / "np.csv"))],
     "convert": lambda t: ["convert", "0.0021", "0.0053", "10"],
 }
@@ -96,7 +132,8 @@ def run_scenario(name, tmp_path, capsys):
 
 # Recorded before the merge-kernel refactor. Since then only synth_csv's two
 # subgroup_gain_alpha*.csv files changed: their comma-holding group keys are
-# now quoted.
+# now quoted. The two eval_untidy_records scenarios were recorded before the
+# columnar record reader replaced the per-row one.
 GOLDEN = {
     "compare_grouped_pair_joint": (
         0,
@@ -169,6 +206,22 @@ GOLDEN = {
         {
             "attributes.csv": "7d2f02235b742f10595c8e19276eda31cda3113f243ffa0c3182f04ee0463e36",
             "metrics.csv": "0491b28de2e9818b887ee103b124314d8c7dc3a26077345604247a72c43f3764",
+        },
+    ),
+    "eval_untidy_records_deciles": (
+        0,
+        "7e70a6d35b20c6f14c838c454b8e1bd5e9c38af83e8bcb615404dbb19cd99c19",
+        {
+            "attributes.csv": "d866290eebb58a92b3e266b233d0667f698e1dcf0ebdb88ec96fb2fb55e68b70",
+            "metrics.csv": "9e89f91ca5ec7912eedfc20cf28b070ba836e4c8efb18c380a57a00b4cdfd447",
+        },
+    ),
+    "eval_untidy_records_unique": (
+        0,
+        "7e70a6d35b20c6f14c838c454b8e1bd5e9c38af83e8bcb615404dbb19cd99c19",
+        {
+            "attributes.csv": "a33ab341fb930ae90acc6dffaa325a2526f9b4f0afe6294305138c40d6e1b585",
+            "metrics.csv": "d97b093ef70398e36d164322068a46487d8d184a943bbca138f1e7de337eca50",
         },
     ),
     "synth_csv": (
