@@ -38,19 +38,20 @@ def _check_total_mass(total: float) -> None:
 
 
 def _merge_tied_risks(rows) -> list[list]:
-    """Merge risk-sorted (risk, mass, prevalence, key) rows with tied risks.
+    """Merge risk-sorted (risk, mass, label) rows whose risks tie.
 
-    Consecutive rows whose risks agree within RISK_MERGE_TOL become one
-    [risk, mass, prevalence, keys] entry, risk and prevalence mass-weighted.
+    For callers whose risk is also the prevalence. Consecutive rows whose
+    risks agree within RISK_MERGE_TOL become one [risk, mass, labels] entry,
+    risk mass-weighted, labels in row order.
     """
     merged: list[list] = []
-    for risk, mass, prev, key in rows:
+    for risk, mass, label in rows:
         if merged and risk - merged[-1][0] <= RISK_MERGE_TOL:
-            r0, m0, p0, keys = merged[-1]
+            r0, m0, labels = merged[-1]
             m = m0 + mass
-            merged[-1] = [(r0 * m0 + risk * mass) / m, m, (p0 * m0 + prev * mass) / m, keys + [key]]
+            merged[-1] = [(r0 * m0 + risk * mass) / m, m, labels + [label]]
         else:
-            merged.append([risk, mass, prev, [key]])
+            merged.append([risk, mass, [label]])
     return merged
 
 
@@ -96,8 +97,8 @@ def make_distribution(points) -> RiskDistribution:
         raise EmptyInput("all support points have zero mass")
     _check_total_mass(math.fsum(f for _, f in pairs))
     pairs.sort()
-    merged = _merge_tied_risks((p, f, p, None) for p, f in pairs)
-    return RiskDistribution(points=tuple((p, f) for p, f, _, _ in merged))
+    merged = _merge_tied_risks((p, f, None) for p, f in pairs)
+    return RiskDistribution(points=tuple((p, f) for p, f, _ in merged))
 
 
 def constant_distribution(pi: float) -> RiskDistribution:

@@ -79,14 +79,27 @@ def _tally(rows, widths: list[int]):
         yield row
 
 
-def _kept_rows(path, width: int, widths: list[int], fields: list[str]):
+def _row_lines(path, n: int) -> list[int]:
+    """Line numbers on which the first n data rows of a CSV file start."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        fh.readline()
+        reader = csv.reader(fh)
+        starts = []
+        for _ in range(n):
+            starts.append(reader.line_num + 2)
+            next(reader)
+    return starts
+
+
+def _kept_rows(path, width: int, widths: list[int], starts, fields: list[str]):
     """One pass over the rows held flat in fields, row i having widths[i] fields.
 
-    Skips rows whose fields are all blank and rejects a row of the wrong
-    width at its line. Returns the kept rows' line numbers and flat fields.
+    Row i starts on line starts[i]. Skips rows whose fields are all blank
+    and rejects a row of the wrong width at its line. Returns the kept rows'
+    line numbers and flat fields.
     """
     linenos, kept, pos = [], [], 0
-    for lineno, w in enumerate(widths, start=2):
+    for lineno, w in zip(starts, widths):
         row = fields[pos : pos + w]
         pos += w
         if not any(row):
@@ -103,37 +116,45 @@ def _read_columns(path, expected_header: list[str], optional: set[str] = frozens
 
     Returns (path, line numbers of the data rows, {column name: fields}),
     columns in header order. Rows whose fields are all blank are skipped.
-    The rows are read into one flat field list, so no container per row
-    outlives the read; when every row has the header's width and a nonblank
-    first field, the columns are plain strided slices of that list.
+    The file is streamed through csv.reader, so a quoted field keeps its
+    line breaks, and its rows are read into one flat field list, so no
+    container per row outlives the read. When every row is one line of the
+    header's width with a nonblank first field, the columns are plain
+    strided slices of that list; a row that spans lines is located by a
+    second read.
     """
     path = Path(path)
     header = read_header(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ParseError(f"{path}: empty file, expected header {','.join(expected_header)}")
     required = [h for h in expected_header if h not in optional]
-    if header != expected_header and header != required:
-        raise ParseError(
-            f"{path}: header {','.join(header)!r} does not match {','.join(expected_header)!r}"
-        )
     width = len(header)
     widths: list[int] = []
     fields: list[str] = []
-    rows = _tally(csv.reader(itertools.islice(lines, 1, None)), widths)
     try:
-        fields += map(str.strip, itertools.chain.from_iterable(rows))
-    except csv.Error as exc:
-        _kept_rows(path, width, widths, fields)  # a bad row read first is reported first
-        raise ParseError(f"{path}: {exc}") from exc
-    del lines, rows  # release the split text before the columns are built
-    if widths.count(width) == len(widths) and "" not in fields[::width]:
-        linenos = range(2, len(widths) + 2)
+        with open(path, encoding="utf-8", newline="") as fh:
+            if not fh.readline():
+                raise ParseError(
+                    f"{path}: empty file, expected header {','.join(expected_header)}"
+                )
+            if header != expected_header and header != required:
+                raise ParseError(
+                    f"{path}: header {','.join(header)!r} does not match "
+                    f"{','.join(expected_header)!r}"
+                )
+            reader = csv.reader(fh)
+            try:
+                fields += map(str.strip, itertools.chain.from_iterable(_tally(reader, widths)))
+            except csv.Error as exc:
+                # A bad row read before the error is reported first.
+                _kept_rows(path, width, widths, _row_lines(path, len(widths)), fields)
+                raise ParseError(f"{path}: {exc}") from exc
+            one_line_rows = reader.line_num == len(widths)
+            starts = range(2, len(widths) + 2) if one_line_rows else _row_lines(path, len(widths))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if one_line_rows and widths.count(width) == len(widths) and "" not in fields[::width]:
+        linenos = starts
     else:
-        linenos, fields = _kept_rows(path, width, widths, fields)
+        linenos, fields = _kept_rows(path, width, widths, starts, fields)
     if not linenos:
         raise ParseError(f"{path}: no data rows")
     return path, linenos, {name: fields[j::width] for j, name in enumerate(header)}
@@ -322,6 +343,20 @@ def _bin_ids(
     return lookup[ids], [f"q{int(old) + 1:0{width}d}" for old in kept], None
 
 
+def _bin_model(risks: np.ndarray, outcomes: np.ndarray, scheme: str, k: int):
+    """One model's bins: record bin ids, bin labels, counts, risks and prevalences.
+
+    A bin's risk is its exact value when the scheme fixes it, else the mean
+    member risk.
+    """
+    ids, labels, risk_of = _bin_ids(risks, scheme, k)
+    counts = np.bincount(ids, minlength=len(labels))
+    if risk_of is None:
+        risk_of = np.bincount(ids, weights=risks, minlength=len(labels)) / counts
+    prev = np.bincount(ids, weights=outcomes, minlength=len(labels)) / counts
+    return ids, labels, counts, risk_of, prev
+
+
 def bin_individuals(
     records: IndividualRecords | list[IndividualRecord],
     scheme: str = "unique-values",
@@ -342,26 +377,14 @@ def bin_individuals(
     n = len(records)
     if not n:
         raise EmptyInput("no records to bin")
-    risks1, outcomes = records.risk1, records.outcome
-    ids1, labels1, exact1 = _bin_ids(risks1, scheme, k)
-    counts1 = np.bincount(ids1, minlength=len(labels1))
-    if exact1 is None:
-        risk1_of = np.bincount(ids1, weights=risks1, minlength=len(labels1)) / counts1
-    else:
-        risk1_of = exact1
-    prev1 = np.bincount(ids1, weights=outcomes, minlength=len(labels1)) / counts1
+    outcomes = records.outcome
+    ids1, labels1, counts1, risk1_of, prev1 = _bin_model(records.risk1, outcomes, scheme, k)
     grouped = make_grouped_table(
         (labels1[i], risk1_of[i], counts1[i] / n, prev1[i]) for i in range(len(labels1))
     )
     if records.risk2 is None:
         return grouped, None
-    risks2 = records.risk2
-    ids2, labels2, exact2 = _bin_ids(risks2, scheme, k)
-    counts2 = np.bincount(ids2, minlength=len(labels2))
-    if exact2 is None:
-        risk2_of = np.bincount(ids2, weights=risks2, minlength=len(labels2)) / counts2
-    else:
-        risk2_of = exact2
+    ids2, labels2, _, risk2_of, _ = _bin_model(records.risk2, outcomes, scheme, k)
     # Sparse pair ids: only occupied (group1, group2) pairs get a slot.
     pair_ids, pair_of = np.unique(ids1 * len(labels2) + ids2, return_inverse=True)
     pair_counts = np.bincount(pair_of)
@@ -455,7 +478,11 @@ def read_cross_decile(path, mortality: float, horizon: float) -> CrossDecileTabl
         if not math.isfinite(cases_f) or cases_f < 0 or cases_f != int(cases_f):
             raise ParseError(f"{path}:{lineno}: cases {cases_text!r} must be a nonnegative integer")
         cases = int(cases_f)
-        if py <= 0.0:
+        if not math.isfinite(py) or py < 0.0:
+            raise ParseError(
+                f"{path}:{lineno}: person_years {py_text!r} must be a finite nonnegative number"
+            )
+        if py == 0.0:
             if cases == 0:
                 continue
             raise ZeroPersonYears(f"{path}:{lineno}: {cases} cases with no person-years")

@@ -104,17 +104,24 @@ def integrated_discrimination(table: GroupedModelTable) -> float:
 def concordance(table: GroupedModelTable) -> float:
     """Probability a random case outranks a random noncase, ties split evenly.
 
-    Ranking is by assigned risk. Exactly 0.5 for a single-group table and 1.0
-    when group prevalences are all 0 or 1.
+    Ranking is by assigned risk. Groups of equal risk are pooled, so a case
+    and a noncase of equal risk count half (the Mann-Whitney form). Exactly
+    0.5 for a single-risk table and 1.0 when group prevalences are all 0 or 1.
     """
     pi = _require_nondegenerate(table)
     terms = []
-    above = 0.0  # case mass in groups ranked above the current one
+    above = 0.0  # case mass in groups ranked above the current tie block
+    h1 = h0 = 0.0  # case and noncase mass of the current tie block
+    risk = table.groups[-1].risk
     for g in reversed(table.groups):
-        h1 = g.mass * g.prevalence / pi
-        h0 = g.mass * (1.0 - g.prevalence) / (1.0 - pi)
-        terms.append(h0 * (0.5 * h1 + above))
-        above += h1
+        if g.risk != risk:
+            terms.append(h0 * (0.5 * h1 + above))
+            above += h1
+            h1 = h0 = 0.0
+        risk = g.risk
+        h1 += g.mass * g.prevalence / pi
+        h0 += g.mass * (1.0 - g.prevalence) / (1.0 - pi)
+    terms.append(h0 * (0.5 * h1 + above))
     return math.fsum(terms)
 
 

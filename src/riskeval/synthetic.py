@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .distributions import RiskDistribution, make_distribution
+from .distributions import RiskDistribution, _merge_tied_risks, make_distribution
 from .errors import ParameterOutOfRange
 from .tables import (
     GroupedModelTable,
@@ -95,28 +95,29 @@ def _cell_label(cell: CovariateCell, subset: tuple[str, ...]) -> str:
 
 
 def _project(pop: SyntheticPopulation, subset):
-    """Grouped table for a covariate subset plus the cell-label -> group-key map."""
+    """Grouped table for a covariate subset plus the cell-label -> group-key map.
+
+    Well-calibrated convention: assigned risk equals the class prevalence,
+    so classes of equal prevalence form one group, keyed by their labels
+    joined with "|".
+    """
     subset = _canonical_subset(subset)
     classes = _merge_by_key(
         (_cell_label(c, subset), (), c.mass, c.risk) for c in pop.cells if c.mass != 0.0
     )
-    table = make_grouped_table(
-        # Well-calibrated convention: assigned risk equals the subgroup
-        # prevalence, so equal-prevalence subgroups merge at construction.
-        (label, prev, mass, prev)
-        for label, _, mass, prev in classes
-    )
-    label_to_key = {
-        member: g.key for g in table.groups for member in g.key.split("|")
-    }
+    tied = _merge_tied_risks(sorted((prev, mass, label) for label, _, mass, prev in classes))
+    groups = [("|".join(sorted(labels)), prev, mass, labels) for prev, mass, labels in tied]
+    table = make_grouped_table((key, prev, mass, prev) for key, prev, mass, _ in groups)
+    label_to_key = {label: key for key, _, _, labels in groups for label in labels}
     return table, label_to_key
 
 
 def project_model(pop: SyntheticPopulation, subset) -> GroupedModelTable:
     """Well-calibrated model using only the given covariates.
 
-    Groups are covariate-value classes; classes with equal prevalence (within
-    1e-12) merge into one group. Zero-mass classes are dropped.
+    Groups are covariate-value classes, each assigned its exact prevalence.
+    Classes with equal prevalence (within 1e-12) form one group, keyed by
+    the class labels joined with "|". Zero-mass classes are dropped.
     """
     table, _ = _project(pop, subset)
     return table

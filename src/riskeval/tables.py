@@ -5,9 +5,11 @@ carries the model's assigned risk, the fraction of the population in the
 group, and the group's observed (or exactly computed) outcome prevalence.
 A joint table cross-classifies two models over the same population.
 
-Group keys are opaque labels. Matching between tables (calibration transfer,
-risk assignment to joint cells) is by key, never by risk value: two distinct
-groups of one model may legitimately share an assigned risk under another.
+Group keys are identity. Entries that share a key are one group; distinct
+keys stay distinct groups even when their assigned risks are equal, so a
+shared risk value never merges two groups. Matching between tables
+(calibration transfer, risk assignment to joint cells) is by key, never by
+risk value.
 """
 
 import math
@@ -19,7 +21,6 @@ from .distributions import (
     _check_mass,
     _check_total_mass,
     _check_unit_interval,
-    _merge_tied_risks,
 )
 from .errors import EmptyInput, InvariantViolation
 
@@ -52,6 +53,30 @@ def _merge_by_key(rows):
     return ((key, risks, mass, wsum / mass) for key, (risks, mass, wsum) in acc.items())
 
 
+def _checked(rows, risk_names):
+    """Positive-mass (key, risks, mass, prevalence) rows, every value validated."""
+    for key, risks, mass, prev in rows:
+        mass = _check_mass(mass)
+        if mass != 0.0:
+            risks = tuple(map(_check_unit_interval, risk_names, risks))
+            yield key, risks, mass, _check_unit_interval("prevalence", prev)
+
+
+def _keyed_rows(rows, risk_names, empty_message):
+    """Build path shared by grouped and joint tables.
+
+    rows are (key, risks, mass, prevalence). Zero-mass rows are dropped,
+    rows sharing a key merge, and the result is sorted by (risks, key);
+    masses must sum to 1 within 1e-9. Returns the merged rows and the
+    population mean.
+    """
+    merged = sorted(_merge_by_key(_checked(rows, risk_names)), key=lambda row: (*row[1], row[0]))
+    if not merged:
+        raise EmptyInput(empty_message)
+    _check_total_mass(math.fsum(m for _, _, m, _ in merged))
+    return merged, math.fsum(m * p for _, _, m, p in merged)
+
+
 @dataclass(frozen=True)
 class Group:
     """One risk group: assigned risk, population mass, outcome prevalence."""
@@ -64,11 +89,11 @@ class Group:
 
 @dataclass(frozen=True)
 class GroupedModelTable:
-    """One model's risk groups over a population, sorted by assigned risk.
+    """One model's risk groups over a population, sorted by (risk, key).
 
-    Assigned risks are pairwise distinct (groups sharing a risk within 1e-12
-    are merged at construction, prevalence mass-weighted). population_mean is
-    the mass-weighted prevalence. declared_calibrated marks tables whose
+    Keys are identity and unique. Groups are never merged for sharing an
+    assigned risk: several groups may carry the same risk. population_mean
+    is the mass-weighted prevalence. declared_calibrated marks tables whose
     prevalences were defaulted to the assigned risks at load time.
     """
 
@@ -98,40 +123,18 @@ def make_grouped_table(
 ) -> GroupedModelTable:
     """Build a GroupedModelTable from (key, risk, mass, prevalence) entries.
 
-    Zero-mass groups are dropped. Groups whose risks agree within 1e-12 are
-    merged: mass-weighted risk and prevalence, member keys joined with "|" in
-    sorted order.
+    Keys are identity: zero-mass entries are dropped, and entries sharing a
+    key merge into one group with mass-weighted prevalence (their risks must
+    agree within 1e-12). Distinct keys are never merged, even at equal risk;
+    groups are sorted by (risk, key).
     """
-    rows = []
-    for key, risk, mass, prev in entries:
-        mass = _check_mass(mass)
-        if mass == 0.0:
-            continue
-        rows.append(
-            (
-                _check_unit_interval("risk", risk),
-                mass,
-                _check_unit_interval("prevalence", prev),
-                str(key),
-            )
-        )
-    if not rows:
-        raise EmptyInput("table needs at least one group with positive mass")
-    _check_total_mass(math.fsum(m for _, m, _, _ in rows))
-    rows.sort()
-    merged = _merge_tied_risks(rows)
-    groups = tuple(
-        Group(key="|".join(sorted(keys)), risk=r, mass=m, prevalence=p)
-        for r, m, p, keys in merged
+    rows, mean = _keyed_rows(
+        ((str(k), (r,), m, p) for k, r, m, p in entries),
+        ("risk",),
+        "table needs at least one group with positive mass",
     )
-    seen = set()
-    for g in groups:
-        if g.key in seen:
-            raise InvariantViolation(f"duplicate group key {g.key!r}")
-        seen.add(g.key)
-    mean = math.fsum(g.mass * g.prevalence for g in groups)
     return GroupedModelTable(
-        groups=groups,
+        groups=tuple(Group(key=k, risk=r, mass=m, prevalence=p) for k, (r,), m, p in rows),
         population_mean=mean,
         declared_calibrated=declared_calibrated,
     )
@@ -181,24 +184,8 @@ class JointModelTable:
         if axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
         if axis == 1:
-            rows = ((c.key1, (c.risk1,), c.mass, c.prevalence) for c in self.cells)
-        else:
-            rows = ((c.key2, (c.risk2,), c.mass, c.prevalence) for c in self.cells)
-        return make_grouped_table((k, risks[0], m, p) for k, risks, m, p in _merge_by_key(rows))
-
-
-def _validated_cells(cells):
-    """Positive-mass cells as ((key1, key2), (risk1, risk2), mass, prevalence) rows."""
-    for key1, key2, r1, r2, mass, prev in cells:
-        mass = _check_mass(mass)
-        if mass == 0.0:
-            continue
-        yield (
-            (str(key1), str(key2)),
-            (_check_unit_interval("risk1", r1), _check_unit_interval("risk2", r2)),
-            mass,
-            _check_unit_interval("prevalence", prev),
-        )
+            return make_grouped_table((c.key1, c.risk1, c.mass, c.prevalence) for c in self.cells)
+        return make_grouped_table((c.key2, c.risk2, c.mass, c.prevalence) for c in self.cells)
 
 
 def make_joint_table(cells) -> JointModelTable:
@@ -207,17 +194,13 @@ def make_joint_table(cells) -> JointModelTable:
     Zero-mass cells are dropped; duplicate (key1, key2) cells are merged with
     mass-weighted prevalence and must agree on both assigned risks.
     """
-    cells_out = tuple(
-        sorted(
-            (
-                JointCell(key1=k1, key2=k2, risk1=r1, risk2=r2, mass=m, prevalence=p)
-                for (k1, k2), (r1, r2), m, p in _merge_by_key(_validated_cells(cells))
-            ),
-            key=lambda c: (c.risk1, c.risk2, c.key1, c.key2),
-        )
+    rows, mean = _keyed_rows(
+        (((str(k1), str(k2)), (r1, r2), m, p) for k1, k2, r1, r2, m, p in cells),
+        ("risk1", "risk2"),
+        "joint table needs at least one cell with positive mass",
     )
-    if not cells_out:
-        raise EmptyInput("joint table needs at least one cell with positive mass")
-    _check_total_mass(math.fsum(c.mass for c in cells_out))
-    mean = math.fsum(c.mass * c.prevalence for c in cells_out)
+    cells_out = tuple(
+        JointCell(key1=k1, key2=k2, risk1=r1, risk2=r2, mass=m, prevalence=p)
+        for (k1, k2), (r1, r2), m, p in rows
+    )
     return JointModelTable(cells=cells_out, population_mean=mean)

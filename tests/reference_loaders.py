@@ -133,7 +133,11 @@ def read_cross_decile(path, mortality, horizon):
         if not math.isfinite(cases_f) or cases_f < 0 or cases_f != int(cases_f):
             raise ParseError(f"{path}:{lineno}: cases {row['cases']!r} must be a nonnegative integer")
         cases = int(cases_f)
-        if py <= 0.0:
+        if not math.isfinite(py) or py < 0.0:
+            raise ParseError(
+                f"{path}:{lineno}: person_years {row['person_years']!r} must be a finite nonnegative number"
+            )
+        if py == 0.0:
             if cases == 0:
                 continue
             raise ZeroPersonYears(f"{path}:{lineno}: {cases} cases with no person-years")

@@ -260,6 +260,24 @@ class TestCompare:
         assert len(rows) == 10
         assert "sd_pct" in rows[0] and "group" in rows[0]
 
+    def test_cross_decile_deciles_with_tied_risks(self, tmp_path, capsys):
+        # Model-2 deciles 1 and 2 have no cases, so both get risk 0; every
+        # cell must still find its own decile's risk.
+        src = tmp_path / "cd.csv"
+        src.write_text(
+            "decile1,decile2,person_years,cases\n"
+            "1,1,1000,0\n1,2,1000,0\n1,3,1000,5\n2,1,1000,0\n2,2,1000,0\n2,3,1000,7\n"
+        )
+        out = tmp_path / "out"
+        code = main(
+            ["compare", str(src), "--mortality", "0.005", "--horizon", "10", "--out", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        rows = list(csv.DictReader((out / "cell_bias.csv").read_text().splitlines()))
+        assert len(rows) == 6
+        assert sorted({row["group2"] for row in rows}) == ["d1", "d2", "d3"]
+        assert {row["risk2"] for row in rows if row["group2"] != "d3"} == {"0"}
+
     def test_wrong_header(self, tmp_path, capsys):
         src = tmp_path / "b1.csv"
         src.write_text(MODEL1_B_CSV)
@@ -272,6 +290,35 @@ class TestCompare:
         write_grouped(model1_b, g2)
         assert main(["compare", str(g1), str(g2)]) == 2
         assert "compare takes" in capsys.readouterr().err
+
+
+class TestBadInputLines:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-5"])
+    def test_bad_person_years_named_at_its_line(self, tmp_path, capsys, value):
+        src = tmp_path / "cd.csv"
+        src.write_text(
+            "decile1,decile2,person_years,cases\n"
+            f"1,1,1000,3\n1,2,{value},0\n2,1,1000,2\n2,2,1000,1\n"
+        )
+        out = str(tmp_path / "out")
+        code = main(["compare", str(src), "--mortality", "0.005", "--horizon", "10", "--out", out])
+        assert code == 2
+        assert f"{src}:3: person_years '{value}' must be a finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body,where",
+        [
+            # The break inside the quotes stays part of the risk field.
+            ('"0.\n1",0.5,0.1\n0.2,0.5,0.1\n', ":2: risk '0.\\n1' is not a number"),
+            # The two-line row shifts no later line number.
+            ('"0.1\n",0.5,0.1\n0.2,x,0.1\n', ":4: mass 'x' is not a number"),
+        ],
+    )
+    def test_quoted_line_break_is_kept(self, tmp_path, capsys, body, where):
+        src = tmp_path / "g.csv"
+        src.write_text("risk,mass,prevalence\n" + body)
+        assert main(["eval", str(src), "--out", str(tmp_path / "out")]) == 2
+        assert f"{src}{where}" in capsys.readouterr().err
 
 
 class TestSynth:

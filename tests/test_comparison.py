@@ -120,6 +120,13 @@ class TestTransferCalibration:
         table = transfer_calibration(model1_a, model1_a)
         assert calibration_bias_sq(table) <= TOL
 
+    def test_equal_source_prevalences_keep_their_groups(self):
+        source = make_grouped_table([("a", 0.2, 0.5, 0.1), ("b", 0.3, 0.5, 0.1)])
+        target = make_grouped_table([("a", 0.2, 0.5, 0.05), ("b", 0.3, 0.5, 0.25)])
+        table = transfer_calibration(source, target)
+        assert table.keys == ("a", "b")
+        assert abs(calibration_bias_sq(table) - 0.0125) <= TOL
+
     def test_key_mismatch_rejected(self, model1_a, model2_a):
         with pytest.raises(GroupKeyMismatch):
             transfer_calibration(model1_a, model2_a)

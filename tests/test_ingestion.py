@@ -480,6 +480,15 @@ class TestInputRobustness:
         with pytest.raises(ParseError):
             load_grouped(path)
 
+    @pytest.mark.parametrize("tail", ["", "0.5,{huge},1\n"])
+    def test_row_after_a_two_line_row_reported_at_its_line(self, tmp_path, tail):
+        # With and without a csv error after it, the short row is on line 4.
+        path = tmp_path / "x.csv"
+        body = '"0.1\n",0.5,0.1\n0.3,0.4\n' + tail.replace("{huge}", "9" * 200_000)
+        path.write_text("risk,mass,prevalence\n" + body)
+        with pytest.raises(ParseError, match=r"x\.csv:4: expected 3 fields, got 2"):
+            load_grouped(path)
+
 
 class TestSparsePairBinning:
     def test_distinct_risks_need_no_dense_pair_array(self):

@@ -12,6 +12,7 @@ from conftest import pair_concordance_oracle, random_grouped_table, relabeled
 from riskeval import (
     DegenerateOutcome,
     InternalInvariantError,
+    InvariantViolation,
     attributes_diagram,
     brier_score,
     calibration_bias_sq,
@@ -22,6 +23,7 @@ from riskeval import (
     evaluate,
     integrated_discrimination,
     make_grouped_table,
+    make_joint_table,
     perfect_model_table,
     precision_loss,
     prevalence_variance,
@@ -45,6 +47,39 @@ seeds = st.integers(0, 10_000)
 
 def random_table(seed, **kw):
     return random_grouped_table(np.random.default_rng(seed), **kw)
+
+
+class TestGroupKeys:
+    def test_equal_risks_stay_distinct_groups(self):
+        table = make_grouped_table(
+            [("b", 0.2, 0.25, 0.1), ("c", 0.1, 0.25, 0.3), ("a", 0.2, 0.5, 0.3)]
+        )
+        assert table.keys == ("c", "a", "b")
+        assert table.risks == (0.1, 0.2, 0.2)
+        assert table.prevalences == (0.3, 0.3, 0.1)
+
+    def test_repeated_key_is_one_group(self):
+        table = make_grouped_table([("k", 0.2, 0.5, 0.1), ("k", 0.2, 0.5, 0.3)])
+        assert table.keys == ("k",)
+        assert table.masses == (1.0,)
+        assert abs(table.groups[0].prevalence - 0.2) <= TOL
+
+    def test_repeated_key_with_conflicting_risks_rejected(self):
+        with pytest.raises(InvariantViolation, match="conflicting assigned risks"):
+            make_grouped_table([("k", 0.2, 0.5, 0.1), ("k", 0.3, 0.5, 0.3)])
+
+    def test_marginal_keeps_keys_of_tied_risks(self):
+        # Model 2's groups x and y both have prevalence 0 and so risk 0.
+        joint = make_joint_table(
+            [
+                (k1, k2, r1, r2, 0.25, prev)
+                for k1, r1 in (("a", 0.1), ("b", 0.3))
+                for k2, r2, prev in (("x", 0.0, 0.0), ("y", 0.0, 0.0))
+            ]
+        )
+        marginal = joint.marginal(2)
+        assert marginal.keys == ("x", "y")
+        assert marginal.masses == (0.5, 0.5)
 
 
 class TestBrierDecomposition:
@@ -196,6 +231,22 @@ class TestConcordance:
     @given(seeds)
     def test_matches_pair_counting(self, seed):
         t = random_table(seed)
+        assert abs(concordance(t) - pair_concordance_oracle(t)) <= TOL
+
+    @given(seeds)
+    def test_tied_risks_match_pair_counting(self, seed):
+        # Risks drawn from three values: distinct keys share risks, and the
+        # pooled tie blocks must count case/noncase pairs half, as the oracle does.
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 13))
+        risks = rng.choice([0.1, 0.4, 0.7], size=k)
+        masses = rng.dirichlet(np.ones(k))
+        prevalences = rng.uniform(0.01, 0.99, size=k)
+        t = make_grouped_table(
+            (f"g{i}", float(risks[i]), float(masses[i]), float(prevalences[i]))
+            for i in range(k)
+        )
+        assert len(t.groups) == k
         assert abs(concordance(t) - pair_concordance_oracle(t)) <= TOL
 
     @given(seeds)
