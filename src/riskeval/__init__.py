@@ -11,6 +11,7 @@ for end-to-end validation.
 
 from .comparison import (
     CellBias,
+    CellBiasTable,
     ComparisonReport,
     SubgroupGain,
     SubgroupGainReport,

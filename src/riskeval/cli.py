@@ -57,7 +57,7 @@ from .ingestion import (
     read_header,
     ten_year_risk,
 )
-from .metrics import MetricsReport, attributes_diagram, evaluate
+from .metrics import MetricsReport, evaluate
 from .synthetic import (
     _canonical_subset,
     build_population,
@@ -171,7 +171,8 @@ def _add_gain_report(writer: Writer, name: str, gain) -> None:
 
 
 def _attributes_csv(table) -> str:
-    return format_csv(("risk", "prevalence", "mass"), attributes_diagram(table))
+    columns = (table.risk, table.prevalence, table.mass)
+    return format_csv(("risk", "prevalence", "mass"), columns=columns)
 
 
 def _subset_label(subset: tuple[str, ...]) -> str:
@@ -327,9 +328,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ParseError("compare takes one table path or GROUPED1 GROUPED2 JOINT")
     comp = compare(table1, table2)
     gain = subgroup_precision_gain(joint)
-    risks1 = {g.key: g.risk for g in table1.groups}
-    risks2 = {g.key: g.risk for g in table2.groups}
-    cell_rows = cross_classified_bias(joint, risks1, risks2)
+    risks1 = dict(zip(table1.key.tolist(), table1.risk.tolist()))
+    risks2 = dict(zip(table2.key.tolist(), table2.risk.tolist()))
+    cell_bias = cross_classified_bias(joint, risks1, risks2)
     writer = Writer(Path(args.out), args.format, args.percent)
     writer.add_report("comparison", "comparison", _report_pairs(comp))
     _add_gain_report(writer, "subgroup_gain", gain)
@@ -337,10 +338,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         "cell_bias.csv",
         format_csv(
             ("group1", "group2", "mass", "prevalence", "risk1", "risk2", "bias1", "bias2"),
-            (
-                (c.key1, c.key2, c.mass, c.prevalence, c.risk1, c.risk2, c.bias1, c.bias2)
-                for c in cell_rows
-            ),
+            columns=cell_bias.columns(),
         ),
     )
     for out in writer.flush():

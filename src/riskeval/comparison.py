@@ -9,8 +9,11 @@ that group's contribution to the precision gain.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from typing import Mapping
+
+import numpy as np
 
 from .distributions import _check_unit_interval
 from .errors import (
@@ -19,8 +22,17 @@ from .errors import (
     MeanMismatch,
     MissingAssignment,
 )
-from .metrics import IDENTITY_TOL, evaluate
-from .tables import GroupedModelTable, JointModelTable, make_grouped_table
+from .metrics import IDENTITY_TOL, _squares, evaluate
+from .tables import (
+    Columns,
+    GroupedModelTable,
+    JointModelTable,
+    _first,
+    _floats,
+    _key_codes,
+    _outside_unit,
+    make_grouped_table,
+)
 
 MEAN_MATCH_RTOL = 1e-9
 
@@ -74,13 +86,13 @@ def transfer_calibration(
     prevalences come from the target. Both tables must have identical group
     keys (the same model structure).
     """
-    source_prev = {g.key: g.prevalence for g in source.groups}
-    if set(source_prev) != {g.key for g in target.groups}:
-        missing = sorted(set(source_prev) ^ {g.key for g in target.groups})
+    source_row = {key: i for i, key in enumerate(source.key.tolist())}
+    target_keys = target.key.tolist()
+    if set(source_row) != set(target_keys):
+        missing = sorted(set(source_row) ^ set(target_keys))
         raise GroupKeyMismatch(f"group keys differ between source and target: {missing}")
-    return make_grouped_table(
-        (g.key, source_prev[g.key], g.mass, g.prevalence) for g in target.groups
-    )
+    risk = source.prevalence[[source_row[key] for key in target_keys]]
+    return make_grouped_table(Columns((target.key,), (risk,), target.mass, target.prevalence))
 
 
 @dataclass(frozen=True)
@@ -97,36 +109,75 @@ class CellBias:
     bias2: float
 
 
+@dataclass(frozen=True, eq=False)
+class CellBiasTable(Sequence):
+    """Per-cell biases of a joint table, one column per CellBias field.
+
+    A read-only sequence of CellBias rows, in the joint table's cell order;
+    rows are built from the columns on access.
+    """
+
+    key1: np.ndarray
+    key2: np.ndarray
+    mass: np.ndarray
+    prevalence: np.ndarray
+    risk1: np.ndarray
+    risk2: np.ndarray
+    bias1: np.ndarray
+    bias2: np.ndarray
+
+    def columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.mass)
+
+    def __iter__(self):
+        return map(CellBias, *(col.tolist() for col in self.columns()))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        # A one-entry slice gives Python values through tolist.
+        return CellBias(*(col[i : i + 1 or None].tolist()[0] for col in self.columns()))
+
+
+def _assigned(risks: Mapping[str, float], keys: np.ndarray) -> np.ndarray:
+    """risks[key] for each key as float64; NaN where a key has none."""
+    keys = keys.tolist()
+    try:
+        values = [risks[key] for key in keys]
+    except KeyError:
+        values = [risks[key] if key in risks else math.nan for key in keys]
+    return _floats(values)
+
+
+def _check_cell(key1: str, key2: str, risks1, risks2) -> None:
+    for key, risks in ((key1, risks1), (key2, risks2)):
+        if key not in risks:
+            raise MissingAssignment(f"no assigned risk for group {key!r}")
+    _check_unit_interval("risk1", risks1[key1])
+    _check_unit_interval("risk2", risks2[key2])
+
+
 def cross_classified_bias(
     joint: JointModelTable,
     risks1: Mapping[str, float],
     risks2: Mapping[str, float],
-) -> list[CellBias]:
+) -> CellBiasTable:
     """Per-cell bias of each model's assigned risk against the cell prevalence.
 
     risks1 and risks2 map group keys of each model to assigned risks; every
-    joint cell's keys must be covered.
+    joint cell's keys must be covered. The first cell, in cell order, whose
+    keys are not covered or whose risks are not in [0, 1] raises.
     """
-    rows = []
-    for c in joint.cells:
-        for key, risks in ((c.key1, risks1), (c.key2, risks2)):
-            if key not in risks:
-                raise MissingAssignment(f"no assigned risk for group {key!r}")
-        r1 = _check_unit_interval("risk1", risks1[c.key1])
-        r2 = _check_unit_interval("risk2", risks2[c.key2])
-        rows.append(
-            CellBias(
-                key1=c.key1,
-                key2=c.key2,
-                mass=c.mass,
-                prevalence=c.prevalence,
-                risk1=r1,
-                risk2=r2,
-                bias1=r1 - c.prevalence,
-                bias2=r2 - c.prevalence,
-            )
-        )
-    return rows
+    r1, r2 = _assigned(risks1, joint.key1), _assigned(risks2, joint.key2)
+    bad = _first(_outside_unit(r1) | _outside_unit(r2))
+    if bad < len(r1):
+        _check_cell(joint.key1[bad], joint.key2[bad], risks1, risks2)
+        raise InternalInvariantError(f"cell {bad} failed a column check but passes its own")
+    p = joint.prevalence
+    return CellBiasTable(joint.key1, joint.key2, joint.mass, p, r1, r2, r1 - p, r2 - p)
 
 
 @dataclass(frozen=True)
@@ -159,25 +210,34 @@ def subgroup_precision_gain(joint: JointModelTable) -> SubgroupGainReport:
     within-group variances is the total Brier precision gained by refining
     model 1 with the cross-classification.
     """
-    by_group: dict[str, list] = {}
-    for c in joint.cells:
-        by_group.setdefault(c.key1, []).append(c)
-    rows = []
-    for key, cells in by_group.items():
-        mass = math.fsum(c.mass for c in cells)
-        mean = math.fsum(c.mass * c.prevalence for c in cells) / mass
-        var = math.fsum(c.mass * (c.prevalence - mean) ** 2 for c in cells) / mass
-        rows.append(
-            SubgroupGain(
-                key=key,
-                risk=cells[0].risk1,
-                mass=mass,
-                prevalence_low=min(c.prevalence for c in cells),
-                prevalence_high=max(c.prevalence for c in cells),
-                variance=var,
-                sd=math.sqrt(var),
-            )
+    codes, first = _key_codes(joint.key1)
+    # Cells grouped by model-1 key, in cell order within each group.
+    order = np.argsort(codes, kind="stable")
+    sizes = np.bincount(codes)
+    ends = np.cumsum(sizes)
+    spans = list(zip((ends - sizes).tolist(), ends.tolist()))
+    m, p = joint.mass[order], joint.prevalence[order]
+
+    def group_sums(x):
+        values = x.tolist()
+        return np.array([math.fsum(values[a:b]) for a, b in spans])
+
+    mass = group_sums(m)
+    mean = group_sums(m * p) / mass
+    var = (group_sums(m * _squares(p - np.repeat(mean, sizes))) / mass).tolist()
+    mass, risk, prev = mass.tolist(), joint.risk1[order[ends - sizes]].tolist(), p.tolist()
+    rows = [
+        SubgroupGain(
+            key=key,
+            risk=risk[g],
+            mass=mass[g],
+            prevalence_low=min(prev[a:b]),
+            prevalence_high=max(prev[a:b]),
+            variance=var[g],
+            sd=math.sqrt(var[g]),
         )
+        for g, (key, (a, b)) in enumerate(zip(joint.key1[first].tolist(), spans))
+    ]
     rows.sort(key=lambda r: (r.risk, r.key))
     total = math.fsum(r.mass * r.variance for r in rows)
     return SubgroupGainReport(

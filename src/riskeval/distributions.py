@@ -32,7 +32,17 @@ def _check_mass(f: float) -> float:
     return f
 
 
-def _check_total_mass(total: float) -> None:
+def _nonnegative_sum(values) -> float:
+    """math.fsum of nonnegative values; inf when the sum exceeds the float range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:  # raised for an intermediate sum of finite values
+        return math.inf
+
+
+def _check_total_mass(masses) -> None:
+    """Nonnegative masses must sum to 1 within MASS_SUM_TOL."""
+    total = _nonnegative_sum(masses)
     if abs(total - 1.0) > MASS_SUM_TOL:
         raise MassSumOutOfTolerance(f"masses sum to {total!r}, not 1 within {MASS_SUM_TOL}")
 
@@ -95,7 +105,7 @@ def make_distribution(points) -> RiskDistribution:
     pairs = [(p, f) for p, f in pairs if f > 0.0]
     if not pairs:
         raise EmptyInput("all support points have zero mass")
-    _check_total_mass(math.fsum(f for _, f in pairs))
+    _check_total_mass(f for _, f in pairs)
     pairs.sort()
     merged = _merge_tied_risks((p, f, None) for p, f in pairs)
     return RiskDistribution(points=tuple((p, f) for p, f, _ in merged))

@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .distributions import _nonnegative_sum
 from .errors import (
     DegenerateBins,
     EmptyInput,
@@ -27,9 +28,11 @@ from .errors import (
     ZeroPersonYears,
 )
 from .tables import (
+    Columns,
     GroupedModelTable,
     JointModelTable,
-    _merge_by_key,
+    _key_codes,
+    _merge,
     format_label,
     make_grouped_table,
     make_joint_table,
@@ -167,6 +170,33 @@ def _parse_float(path, lineno: int, name: str, text: str) -> float:
         raise ParseError(f"{path}:{lineno}: {name} {text!r} is not a number") from None
 
 
+def _float_columns(path, linenos, columns: dict[str, list[str]]) -> list[np.ndarray]:
+    """Each column parsed whole with float.
+
+    When a field does not parse, the rows are walked in file order, each
+    row's fields in column order, so that the first bad field is reported.
+    """
+    try:
+        return [np.fromiter(map(float, texts), dtype=float, count=len(texts))
+                for texts in columns.values()]
+    except ValueError:
+        for lineno, *texts in zip(linenos, *columns.values()):
+            for name, text in zip(columns, texts):
+                _parse_float(path, lineno, name, text)
+        raise
+
+
+def _labels(values: np.ndarray) -> np.ndarray:
+    """format_label of each value, as an object array.
+
+    Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep their
+    own labels.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    labels = map(format, bits.view(np.float64).tolist(), itertools.repeat(".12g"))
+    return np.array(list(labels), dtype=object)[inverse]
+
+
 def load_grouped(path) -> GroupedModelTable:
     """Load `risk,mass,prevalence` CSV into a grouped table.
 
@@ -175,21 +205,13 @@ def load_grouped(path) -> GroupedModelTable:
     flagged declared_calibrated.
     """
     path, linenos, columns = _read_columns(path, GROUPED_HEADER, optional={"prevalence"})
-    entries = []
-    declared = False
-    prevalences = columns.get("prevalence", itertools.repeat(""))
-    for lineno, risk_text, mass_text, prev_text in zip(
-        linenos, columns["risk"], columns["mass"], prevalences
-    ):
-        risk = _parse_float(path, lineno, "risk", risk_text)
-        mass = _parse_float(path, lineno, "mass", mass_text)
-        if prev_text:
-            prev = _parse_float(path, lineno, "prevalence", prev_text)
-        else:
-            prev = risk
-            declared = True
-        entries.append((format_label(risk), risk, mass, prev))
-    return make_grouped_table(entries, declared_calibrated=declared)
+    prevalences = columns.get("prevalence", [""] * len(linenos))
+    declared = "" in prevalences
+    columns["prevalence"] = [p or r for r, p in zip(columns["risk"], prevalences)]
+    risk, mass, prev = _float_columns(path, linenos, columns)
+    return make_grouped_table(
+        Columns((_labels(risk),), (risk,), mass, prev), declared_calibrated=declared
+    )
 
 
 def load_joint(path) -> JointModelTable:
@@ -198,15 +220,9 @@ def load_joint(path) -> JointModelTable:
     Cells are keyed by their formatted risk pair; duplicate keys merge with
     mass-weighted prevalence.
     """
-    path, linenos, columns = _read_columns(path, JOINT_HEADER)
-    cells = []
-    for lineno, r1_text, r2_text, mass_text, prev_text in zip(linenos, *columns.values()):
-        r1 = _parse_float(path, lineno, "r1", r1_text)
-        r2 = _parse_float(path, lineno, "r2", r2_text)
-        mass = _parse_float(path, lineno, "mass", mass_text)
-        prev = _parse_float(path, lineno, "prevalence", prev_text)
-        cells.append((format_label(r1), format_label(r2), r1, r2, mass, prev))
-    return make_joint_table(cells)
+    # The field strings are freed before the table is built.
+    r1, r2, mass, prev = _float_columns(*_read_columns(path, JOINT_HEADER))
+    return make_joint_table(Columns((_labels(r1), _labels(r2)), (r1, r2), mass, prev))
 
 
 class IndividualRecord(NamedTuple):
@@ -379,9 +395,7 @@ def bin_individuals(
         raise EmptyInput("no records to bin")
     outcomes = records.outcome
     ids1, labels1, counts1, risk1_of, prev1 = _bin_model(records.risk1, outcomes, scheme, k)
-    grouped = make_grouped_table(
-        (labels1[i], risk1_of[i], counts1[i] / n, prev1[i]) for i in range(len(labels1))
-    )
+    grouped = make_grouped_table(Columns((labels1,), (risk1_of,), counts1 / n, prev1))
     if records.risk2 is None:
         return grouped, None
     ids2, labels2, _, risk2_of, _ = _bin_model(records.risk2, outcomes, scheme, k)
@@ -389,19 +403,9 @@ def bin_individuals(
     pair_ids, pair_of = np.unique(ids1 * len(labels2) + ids2, return_inverse=True)
     pair_counts = np.bincount(pair_of)
     pair_cases = np.bincount(pair_of, weights=outcomes)
-    cells = []
-    for p, pid in enumerate(pair_ids.tolist()):
-        i, j = divmod(pid, len(labels2))
-        cells.append(
-            (
-                labels1[i],
-                labels2[j],
-                risk1_of[i],
-                risk2_of[j],
-                pair_counts[p] / n,
-                pair_cases[p] / pair_counts[p],
-            )
-        )
+    i, j = np.divmod(pair_ids, len(labels2))
+    keys = (np.array(labels1, dtype=object)[i], np.array(labels2, dtype=object)[j])
+    cells = Columns(keys, (risk1_of[i], risk2_of[j]), pair_counts / n, pair_cases / pair_counts)
     return grouped, make_joint_table(cells)
 
 
@@ -436,24 +440,21 @@ class CrossDecileTable:
         n_rows = len(rows)
         raw = []
         for d1, cells in rows.items():
-            row_py = math.fsum(c.person_years for c in cells)
+            row_py = _nonnegative_sum(c.person_years for c in cells)
+            if row_py == math.inf:
+                raise NonFiniteValue(f"person_years of decile1 {d1} sum to {row_py}")
             for c in cells:
                 prev = ten_year_risk(c.cases / c.person_years, self.mortality, self.horizon)
                 raw.append((c.decile1, c.decile2, c.person_years / row_py / n_rows, prev))
-        risk1 = {d: p for d, _, _, p in _merge_by_key((d1, (), m, p) for d1, _, m, p in raw)}
-        risk2 = {d: p for d, _, _, p in _merge_by_key((d2, (), m, p) for _, d2, m, p in raw)}
-        width = max(len(str(d)) for d in list(risk1) + list(risk2))
-        return make_joint_table(
-            (
-                f"d{d1:0{width}d}",
-                f"d{d2:0{width}d}",
-                risk1[d1],
-                risk2[d2],
-                mass,
-                prev,
-            )
-            for d1, d2, mass, prev in raw
-        )
+        d1, d2, mass, prev = zip(*raw)
+        width = max(len(str(d)) for d in d1 + d2)
+        mass, prev = np.array(mass), np.array(prev)
+        keys, risks = [], []
+        for deciles in (d1, d2):
+            keys.append([f"d{d:0{width}d}" for d in deciles])
+            codes, _ = _key_codes(keys[-1])
+            risks.append(_merge(codes, mass, prev)[1][codes])
+        return make_joint_table(Columns(tuple(keys), tuple(risks), mass, prev))
 
 
 def read_cross_decile(path, mortality: float, horizon: float) -> CrossDecileTable:
@@ -517,14 +518,26 @@ def _csv_text(v) -> str:
     return text
 
 
-def format_csv(header, rows) -> str:
+def _column_fields(column):
+    """A column's CSV fields: floats of a float array at 12 significant digits, else text."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return map(format, column.tolist(), itertools.repeat(".12g"))
+    texts = list(map(str, column))
+    joined = "".join(texts)
+    return map(_csv_text, texts) if "," in joined or '"' in joined else texts
+
+
+def format_csv(header, rows=(), *, columns=None) -> str:
     """CSV text: the header line, then one line per row of values.
 
-    Floats are written at 12 significant digits, as format_label writes them;
-    a text field that holds a comma or a double quote is quoted, its quotes
-    doubled.
+    The values come as rows, or as columns (float arrays and text
+    sequences) with one line per entry. Floats are written at 12
+    significant digits, as format_label writes them; a text field that
+    holds a comma or a double quote is quoted, its quotes doubled.
     """
     lines = [",".join(header)]
+    if columns is not None:
+        lines += map(",".join, zip(*map(_column_fields, columns)))
     lines += [
         ",".join([format(v, ".12g") if isinstance(v, float) else _csv_text(v) for v in row])
         for row in rows
@@ -534,7 +547,7 @@ def format_csv(header, rows) -> str:
 
 def grouped_csv(table: GroupedModelTable) -> str:
     """`risk,mass,prevalence` CSV text of a grouped table."""
-    return format_csv(GROUPED_HEADER, ((g.risk, g.mass, g.prevalence) for g in table.groups))
+    return format_csv(GROUPED_HEADER, columns=(table.risk, table.mass, table.prevalence))
 
 
 def write_grouped(table: GroupedModelTable, path) -> None:
@@ -544,5 +557,5 @@ def write_grouped(table: GroupedModelTable, path) -> None:
 
 def write_joint(table: JointModelTable, path) -> None:
     """Write `r1,r2,mass,prevalence` CSV at 12 significant digits."""
-    rows = ((c.risk1, c.risk2, c.mass, c.prevalence) for c in table.cells)
-    Path(path).write_text(format_csv(JOINT_HEADER, rows), encoding="utf-8")
+    columns = (table.risk1, table.risk2, table.mass, table.prevalence)
+    Path(path).write_text(format_csv(JOINT_HEADER, columns=columns), encoding="utf-8")

@@ -6,16 +6,36 @@ depends only on the outcome prevalences across groups, never on the assigned
 risk values themselves. Discrimination measures (correlation with outcome,
 integrated discrimination, concordance) likewise depend only on prevalences
 and masses, with concordance using the rank order of the assigned risks.
+
+Each measure is an array expression over the table's columns reduced by
+math.fsum. Squares use Python's float power, element by element: numpy's
+square can differ from it in the last bit, and the reports keep its bits.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import RiskDistribution, make_distribution
 from .errors import DegenerateOutcome, InternalInvariantError
 from .tables import GroupedModelTable
 
 IDENTITY_TOL = 1e-12
+
+
+def _fsum(x: np.ndarray) -> float:
+    return math.fsum(x.tolist())
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """x ** 2 as Python computes it, element by element.
+
+    For finite x, Python's x ** 2 and math.pow(x, 2.0) both return the C
+    library's pow(x, 2.0).
+    """
+    return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), dtype=float, count=len(x))
 
 
 def _require_nondegenerate(table: GroupedModelTable) -> float:
@@ -29,21 +49,18 @@ def _require_nondegenerate(table: GroupedModelTable) -> float:
 
 def calibration_bias_sq(table: GroupedModelTable) -> float:
     """Mass-weighted squared gap between assigned risk and group prevalence."""
-    return math.fsum(g.mass * (g.risk - g.prevalence) ** 2 for g in table.groups)
+    return _fsum(table.mass * _squares(table.risk - table.prevalence))
 
 
 def prevalence_variance(table: GroupedModelTable) -> float:
     """Variance of group prevalences around the population mean."""
-    pi = table.population_mean
-    return math.fsum(g.mass * (g.prevalence - pi) ** 2 for g in table.groups)
+    return _fsum(table.mass * _squares(table.prevalence - table.population_mean))
 
 
 def brier_score(table: GroupedModelTable) -> float:
     """Expected squared difference between assigned risk and binary outcome."""
-    return math.fsum(
-        g.mass * (g.prevalence * (1.0 - g.prevalence) + (g.risk - g.prevalence) ** 2)
-        for g in table.groups
-    )
+    p = table.prevalence
+    return _fsum(table.mass * (p * (1.0 - p) + _squares(table.risk - p)))
 
 
 def precision_loss(table: GroupedModelTable) -> float:
@@ -79,12 +96,9 @@ class ConditionalRiskDistributions:
 def conditional_distributions(table: GroupedModelTable) -> ConditionalRiskDistributions:
     """Split the group masses by outcome status."""
     pi = _require_nondegenerate(table)
-    cases = make_distribution(
-        (g.prevalence, g.mass * g.prevalence / pi) for g in table.groups
-    )
-    noncases = make_distribution(
-        (g.prevalence, g.mass * (1.0 - g.prevalence) / (1.0 - pi)) for g in table.groups
-    )
+    m, p = table.mass, table.prevalence
+    cases = make_distribution(zip(p.tolist(), (m * p / pi).tolist()))
+    noncases = make_distribution(zip(p.tolist(), (m * (1.0 - p) / (1.0 - pi)).tolist()))
     return ConditionalRiskDistributions(cases=cases, noncases=noncases)
 
 
@@ -94,10 +108,9 @@ def integrated_discrimination(table: GroupedModelTable) -> float:
     Equals the squared outcome correlation.
     """
     pi = _require_nondegenerate(table)
-    among_cases = math.fsum(g.prevalence * g.mass * g.prevalence / pi for g in table.groups)
-    among_noncases = math.fsum(
-        g.prevalence * g.mass * (1.0 - g.prevalence) / (1.0 - pi) for g in table.groups
-    )
+    m, p = table.mass, table.prevalence
+    among_cases = _fsum(p * m * p / pi)
+    among_noncases = _fsum(p * m * (1.0 - p) / (1.0 - pi))
     return among_cases - among_noncases
 
 
@@ -109,25 +122,20 @@ def concordance(table: GroupedModelTable) -> float:
     0.5 for a single-risk table and 1.0 when group prevalences are all 0 or 1.
     """
     pi = _require_nondegenerate(table)
-    terms = []
-    above = 0.0  # case mass in groups ranked above the current tie block
-    h1 = h0 = 0.0  # case and noncase mass of the current tie block
-    risk = table.groups[-1].risk
-    for g in reversed(table.groups):
-        if g.risk != risk:
-            terms.append(h0 * (0.5 * h1 + above))
-            above += h1
-            h1 = h0 = 0.0
-        risk = g.risk
-        h1 += g.mass * g.prevalence / pi
-        h0 += g.mass * (1.0 - g.prevalence) / (1.0 - pi)
-    terms.append(h0 * (0.5 * h1 + above))
-    return math.fsum(terms)
+    m, p, risk = table.mass[::-1], table.prevalence[::-1], table.risk[::-1]
+    # Tie blocks from the highest risk down; each block's case (h1) and
+    # noncase (h0) mass is summed from 0.0 in that order.
+    block = np.cumsum(np.concatenate(([0], risk[1:] != risk[:-1])))
+    h1 = np.bincount(block, weights=m * p / pi)
+    h0 = np.bincount(block, weights=m * (1.0 - p) / (1.0 - pi))
+    # Case mass in the blocks ranked above each block.
+    above = np.concatenate(([0.0], np.cumsum(h1)[:-1]))
+    return _fsum(h0 * (0.5 * h1 + above))
 
 
 def attributes_diagram(table: GroupedModelTable) -> list[tuple[float, float, float]]:
     """(assigned risk, prevalence, mass) points sorted by assigned risk."""
-    return [(g.risk, g.prevalence, g.mass) for g in table.groups]
+    return list(zip(table.risk.tolist(), table.prevalence.tolist(), table.mass.tolist()))
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,15 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .distributions import RiskDistribution, _merge_tied_risks, make_distribution
 from .errors import ParameterOutOfRange
 from .tables import (
     GroupedModelTable,
     JointModelTable,
-    _merge_by_key,
+    _key_codes,
+    _merge,
     make_grouped_table,
     make_joint_table,
 )
@@ -102,10 +105,12 @@ def _project(pop: SyntheticPopulation, subset):
     joined with "|".
     """
     subset = _canonical_subset(subset)
-    classes = _merge_by_key(
-        (_cell_label(c, subset), (), c.mass, c.risk) for c in pop.cells if c.mass != 0.0
-    )
-    tied = _merge_tied_risks(sorted((prev, mass, label) for label, _, mass, prev in classes))
+    cells = [c for c in pop.cells if c.mass != 0.0]
+    labels = [_cell_label(c, subset) for c in cells]
+    codes, first = _key_codes(labels)
+    mass, prev = _merge(codes, np.array([c.mass for c in cells]), np.array([c.risk for c in cells]))
+    classes = zip(prev.tolist(), mass.tolist(), [labels[i] for i in first])
+    tied = _merge_tied_risks(sorted(classes))
     groups = [("|".join(sorted(labels)), prev, mass, labels) for prev, mass, labels in tied]
     table = make_grouped_table((key, prev, mass, prev) for key, prev, mass, _ in groups)
     label_to_key = {label: key for key, _, _, labels in groups for label in labels}
@@ -128,8 +133,8 @@ def cross_classify(pop: SyntheticPopulation, subset1, subset2) -> JointModelTabl
     s1, s2 = _canonical_subset(subset1), _canonical_subset(subset2)
     table1, map1 = _project(pop, s1)
     table2, map2 = _project(pop, s2)
-    risk1 = {g.key: g.risk for g in table1.groups}
-    risk2 = {g.key: g.risk for g in table2.groups}
+    risk1 = dict(zip(table1.key.tolist(), table1.risk.tolist()))
+    risk2 = dict(zip(table2.key.tolist(), table2.risk.tolist()))
     rows = []
     for c in pop.cells:
         if c.mass == 0.0:

@@ -5,6 +5,11 @@ carries the model's assigned risk, the fraction of the population in the
 group, and the group's observed (or exactly computed) outcome prevalence.
 A joint table cross-classifies two models over the same population.
 
+Tables hold numpy columns with one entry per group or cell: keys (an object
+array of str), assigned risks, masses and prevalences. Their `groups` and
+`cells` rows, and the `keys`/`risks`/`masses`/`prevalences` tuples, are
+read-only views built on demand; every computation reads the columns.
+
 Group keys are identity. Entries that share a key are one group; distinct
 keys stay distinct groups even when their assigned risks are equal, so a
 shared risk value never merges two groups. Matching between tables
@@ -13,7 +18,9 @@ risk value.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import (
     RISK_MERGE_TOL,
@@ -22,7 +29,7 @@ from .distributions import (
     _check_total_mass,
     _check_unit_interval,
 )
-from .errors import EmptyInput, InvariantViolation
+from .errors import EmptyInput, InternalInvariantError, InvariantViolation
 
 
 def format_label(x: float) -> str:
@@ -30,51 +37,192 @@ def format_label(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _merge_by_key(rows):
-    """Merge validated (key, risks, mass, prevalence) rows by key.
+def _float_or_nan(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
-    Masses add in row order and each key's risks tuple must agree within
-    RISK_MERGE_TOL. Returns an iterator over (key, risks, mass, prevalence),
-    one per key in order of first appearance, with the prevalence divided
-    once as sum(m p) / sum(m).
+
+def _floats(values) -> np.ndarray:
+    """values converted by float(), as float64; NaN where float() raises.
+
+    A NaN fails every range check, so the entry's own check later re-raises
+    the conversion error at its place in entry order.
     """
-    acc: dict = {}
-    for key, risks, mass, prev in rows:
-        slot = acc.get(key)
-        if slot is None:
-            acc[key] = [risks, mass, mass * prev]
-            continue
-        if risks != slot[0] and any(abs(a - b) > RISK_MERGE_TOL for a, b in zip(risks, slot[0])):
-            raise InvariantViolation(
-                f"group {key!r} carries conflicting assigned risks {slot[0]!r} and {risks!r}"
-            )
-        slot[1] += mass
-        slot[2] += mass * prev
-    return ((key, risks, mass, wsum / mass) for key, (risks, mass, wsum) in acc.items())
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        return values
+    try:
+        return np.fromiter(map(float, values), dtype=float, count=len(values))
+    except (TypeError, ValueError, OverflowError):
+        return np.array([_float_or_nan(v) for v in values], dtype=float)
 
 
-def _checked(rows, risk_names):
-    """Positive-mass (key, risks, mass, prevalence) rows, every value validated."""
-    for key, risks, mass, prev in rows:
-        mass = _check_mass(mass)
-        if mass != 0.0:
-            risks = tuple(map(_check_unit_interval, risk_names, risks))
-            yield key, risks, mass, _check_unit_interval("prevalence", prev)
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry, or len(mask) when there is none."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else len(mask)
 
 
-def _keyed_rows(rows, risk_names, empty_message):
-    """Build path shared by grouped and joint tables.
+def _outside_unit(x: np.ndarray) -> np.ndarray:
+    """True where x is not a number in [0, 1] (NaN included)."""
+    return ~((x >= 0.0) & (x <= 1.0))
 
-    rows are (key, risks, mass, prevalence). Zero-mass rows are dropped,
-    rows sharing a key merge, and the result is sorted by (risks, key);
-    masses must sum to 1 within 1e-9. Returns the merged rows and the
-    population mean.
+
+def _key_codes(*columns) -> tuple[np.ndarray, np.ndarray]:
+    """Dense codes of the key tuples that columns form, row by row.
+
+    Returns the codes, numbered in order of first appearance for a single
+    column, and the first row of each code. Keys are compared as Python
+    objects in a dict, so distinct str keys never collide.
     """
-    merged = sorted(_merge_by_key(_checked(rows, risk_names)), key=lambda row: (*row[1], row[0]))
-    if not merged:
+    n = len(columns[0])
+    code = np.zeros(n, dtype=np.int64)
+    for col in columns:
+        col = col.tolist() if isinstance(col, np.ndarray) else col
+        # Each key is coded by the row where it first appears.
+        code = code * n + np.fromiter(map({}.setdefault, col, range(n)), np.int64, n)
+    _, first, code = np.unique(code, return_index=True, return_inverse=True)
+    return code, first
+
+
+def _merge(codes: np.ndarray, mass: np.ndarray, prev: np.ndarray):
+    """Summed mass and mass-weighted prevalence, sum(m p) / sum(m), per code.
+
+    Sums run in row order, as a running Python sum does. bincount starts
+    each sum at +0.0, so a code whose m p terms are all -0.0 is given back
+    the -0.0 that a running sum of them keeps.
+    """
+    total = np.bincount(codes, weights=mass)
+    wp = mass * prev
+    wsum = np.bincount(codes, weights=wp)
+    wsum[np.bincount(codes, weights=~(np.signbit(wp) & (wp == 0.0))) == 0] = -0.0
+    with np.errstate(invalid="ignore"):  # an infinite total fails the mass check later
+        return total, wsum / total
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Rank of each key in str order."""
+    index = {k: i for i, k in enumerate(sorted(set(keys.tolist())))}
+    return np.fromiter(map(index.__getitem__, keys.tolist()), np.int64, len(keys))
+
+
+def _sort_order(risks: list, keys: list) -> np.ndarray:
+    """Order of rows by (risks..., keys...); keys are ranked only if risks tie."""
+    order = np.lexsort(risks[::-1])
+    tied = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for r in risks:
+        s = r[order]
+        tied &= s[1:] == s[:-1]
+    if not tied.any():
+        return order
+    return np.lexsort([_ranks(k) for k in keys[::-1]] + risks[::-1])
+
+
+def _check_entry(columns, i: int, risk_names) -> None:
+    """The per-entry checks, in order: mass, then (positive mass only) risks and prevalence."""
+    if _check_mass(columns.mass[i]) != 0.0:
+        for name, risks in zip(risk_names, columns.risks):
+            _check_unit_interval(name, risks[i])
+        _check_unit_interval("prevalence", columns.prevalence[i])
+
+
+@dataclass(frozen=True)
+class Columns:
+    """Table entries held as columns, accepted by the table builders.
+
+    keys and risks hold one column per model (one for a grouped table, two
+    for a joint table); key columns hold str, value columns anything that
+    float() takes. Its length is the number of entries.
+    """
+
+    keys: tuple
+    risks: tuple
+    mass: object
+    prevalence: object
+
+    def __len__(self) -> int:
+        return len(self.mass)
+
+
+def _build(entries, risk_names, empty_message):
+    """Build path shared by grouped and joint tables: validate, merge, sort.
+
+    entries is a Columns or an iterable of (keys..., risks..., mass,
+    prevalence) rows. Zero-mass entries are dropped, entries sharing a key
+    merge, and the groups are sorted by (risks, keys); masses must sum to 1
+    within 1e-9. Errors are raised in entry order, each entry checked as
+    _check_entry does and then against the first entry of its key. Returns
+    (key columns, risk columns, mass, prevalence, population mean).
+    """
+    width = len(risk_names)
+    if not isinstance(entries, Columns):
+        cols = list(zip(*entries, strict=True)) or [()] * (2 * width + 2)
+        if len(cols) != 2 * width + 2:
+            raise ValueError(f"entries need {2 * width + 2} fields, got {len(cols)}")
+        keys = tuple(list(map(str, k)) for k in cols[:width])
+        entries = Columns(keys, cols[width:-2], *cols[-2:])
+    keys = [np.asarray(k, dtype=object) for k in entries.keys]
+    risks = [_floats(r) for r in entries.risks]
+    mass, prev = _floats(entries.mass), _floats(entries.prevalence)
+    live = mass > 0.0
+    bad = ~np.isfinite(mass) | (mass < 0.0)
+    for x in (*risks, prev):
+        bad |= live & _outside_unit(x)
+    stop = _first(bad)
+    rows = np.flatnonzero(live[:stop])
+    codes, first = _key_codes(*(k[rows] for k in keys))
+    conflict = np.zeros(len(rows), dtype=bool)
+    for r in risks:
+        kept = r[rows]
+        conflict |= np.abs(kept - kept[first][codes]) > RISK_MERGE_TOL
+    at = _first(conflict)
+    if at < len(rows):
+        i, j = rows[at], rows[first[codes[at]]]
+        key = keys[0][i] if width == 1 else tuple(k[i] for k in keys)
+        raise InvariantViolation(
+            f"group {key!r} carries conflicting assigned risks "
+            f"{tuple(float(r[j]) for r in risks)!r} and {tuple(float(r[i]) for r in risks)!r}"
+        )
+    if stop < len(mass):
+        _check_entry(entries, stop, risk_names)
+        raise InternalInvariantError(f"entry {stop} failed a column check but passes its own")
+    if not len(rows):
         raise EmptyInput(empty_message)
-    _check_total_mass(math.fsum(m for _, _, m, _ in merged))
-    return merged, math.fsum(m * p for _, _, m, p in merged)
+    total, prevalence = _merge(codes, mass[rows], prev[rows])
+    heads = rows[first]  # a merged group keeps the risks of its first entry
+    order = _sort_order([r[heads] for r in risks], [k[heads] for k in keys])
+    total, prevalence, heads = total[order], prevalence[order], heads[order]
+    _check_total_mass(total.tolist())
+    mean = math.fsum((total * prevalence).tolist())
+    return [k[heads] for k in keys], [r[heads] for r in risks], total, prevalence, mean
+
+
+class _RowView:
+    """Equality, hash and repr through the row view, as for a table of rows."""
+
+    _repr_fields: tuple[str, ...]
+    _compare_fields: tuple[str, ...]
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compare_fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        return f"{type(self).__name__}({fields})"
 
 
 @dataclass(frozen=True)
@@ -87,35 +235,49 @@ class Group:
     prevalence: float
 
 
-@dataclass(frozen=True)
-class GroupedModelTable:
+@dataclass(frozen=True, eq=False, repr=False)
+class GroupedModelTable(_RowView):
     """One model's risk groups over a population, sorted by (risk, key).
 
-    Keys are identity and unique. Groups are never merged for sharing an
+    Columns key, risk, mass and prevalence hold one entry per group. Keys
+    are identity and unique. Groups are never merged for sharing an
     assigned risk: several groups may carry the same risk. population_mean
     is the mass-weighted prevalence. declared_calibrated marks tables whose
-    prevalences were defaulted to the assigned risks at load time.
+    prevalences were defaulted to the assigned risks at load time. groups
+    is a view of the columns as Group rows, built on each access.
     """
 
-    groups: tuple[Group, ...]
+    key: np.ndarray
+    risk: np.ndarray
+    mass: np.ndarray
+    prevalence: np.ndarray
     population_mean: float
-    declared_calibrated: bool = field(default=False, compare=False)
+    declared_calibrated: bool = False
+
+    _repr_fields = ("groups", "population_mean", "declared_calibrated")
+    _compare_fields = ("groups", "population_mean")
+
+    @property
+    def groups(self) -> tuple[Group, ...]:
+        return tuple(
+            map(Group, self.keys, self.risks, self.masses, self.prevalences)
+        )
 
     @property
     def risks(self) -> tuple[float, ...]:
-        return tuple(g.risk for g in self.groups)
+        return tuple(self.risk.tolist())
 
     @property
     def masses(self) -> tuple[float, ...]:
-        return tuple(g.mass for g in self.groups)
+        return tuple(self.mass.tolist())
 
     @property
     def prevalences(self) -> tuple[float, ...]:
-        return tuple(g.prevalence for g in self.groups)
+        return tuple(self.prevalence.tolist())
 
     @property
     def keys(self) -> tuple[str, ...]:
-        return tuple(g.key for g in self.groups)
+        return tuple(self.key.tolist())
 
 
 def make_grouped_table(
@@ -123,21 +285,16 @@ def make_grouped_table(
 ) -> GroupedModelTable:
     """Build a GroupedModelTable from (key, risk, mass, prevalence) entries.
 
-    Keys are identity: zero-mass entries are dropped, and entries sharing a
-    key merge into one group with mass-weighted prevalence (their risks must
-    agree within 1e-12). Distinct keys are never merged, even at equal risk;
-    groups are sorted by (risk, key).
+    entries is an iterable of rows or a Columns. Keys are identity:
+    zero-mass entries are dropped, and entries sharing a key merge into one
+    group with mass-weighted prevalence (their risks must agree within
+    1e-12). Distinct keys are never merged, even at equal risk; groups are
+    sorted by (risk, key).
     """
-    rows, mean = _keyed_rows(
-        ((str(k), (r,), m, p) for k, r, m, p in entries),
-        ("risk",),
-        "table needs at least one group with positive mass",
+    (key,), (risk,), mass, prev, mean = _build(
+        entries, ("risk",), "table needs at least one group with positive mass"
     )
-    return GroupedModelTable(
-        groups=tuple(Group(key=k, risk=r, mass=m, prevalence=p) for k, (r,), m, p in rows),
-        population_mean=mean,
-        declared_calibrated=declared_calibrated,
-    )
+    return GroupedModelTable(key, risk, mass, prev, mean, declared_calibrated)
 
 
 def perfect_model_table(dist: RiskDistribution) -> GroupedModelTable:
@@ -163,17 +320,31 @@ class JointCell:
     prevalence: float
 
 
-@dataclass(frozen=True)
-class JointModelTable:
+@dataclass(frozen=True, eq=False, repr=False)
+class JointModelTable(_RowView):
     """Cross-classification of two models over one population.
 
-    Cells are keyed by (first-model group, second-model group) pairs and
-    sorted by (risk1, risk2, key1, key2). Marginalizing over either model
-    reproduces the other model's grouped table.
+    Columns key1, key2, risk1, risk2, mass and prevalence hold one entry
+    per cell. Cells are keyed by (first-model group, second-model group)
+    pairs and sorted by (risk1, risk2, key1, key2). Marginalizing over
+    either model reproduces the other model's grouped table. cells is a
+    view of the columns as JointCell rows, built on each access.
     """
 
-    cells: tuple[JointCell, ...]
+    key1: np.ndarray
+    key2: np.ndarray
+    risk1: np.ndarray
+    risk2: np.ndarray
+    mass: np.ndarray
+    prevalence: np.ndarray
     population_mean: float
+
+    _repr_fields = _compare_fields = ("cells", "population_mean")
+
+    @property
+    def cells(self) -> tuple[JointCell, ...]:
+        columns = (self.key1, self.key2, self.risk1, self.risk2, self.mass, self.prevalence)
+        return tuple(map(JointCell, *(col.tolist() for col in columns)))
 
     def marginal(self, axis: int) -> GroupedModelTable:
         """Grouped table of model 1 (axis=1) or model 2 (axis=2).
@@ -183,24 +354,18 @@ class JointModelTable:
         """
         if axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
-        if axis == 1:
-            return make_grouped_table((c.key1, c.risk1, c.mass, c.prevalence) for c in self.cells)
-        return make_grouped_table((c.key2, c.risk2, c.mass, c.prevalence) for c in self.cells)
+        key, risk = (self.key1, self.risk1) if axis == 1 else (self.key2, self.risk2)
+        return make_grouped_table(Columns((key,), (risk,), self.mass, self.prevalence))
 
 
 def make_joint_table(cells) -> JointModelTable:
     """Build a JointModelTable from (key1, key2, risk1, risk2, mass, prevalence).
 
-    Zero-mass cells are dropped; duplicate (key1, key2) cells are merged with
-    mass-weighted prevalence and must agree on both assigned risks.
+    cells is an iterable of rows or a Columns. Zero-mass cells are dropped;
+    duplicate (key1, key2) cells are merged with mass-weighted prevalence
+    and must agree on both assigned risks.
     """
-    rows, mean = _keyed_rows(
-        (((str(k1), str(k2)), (r1, r2), m, p) for k1, k2, r1, r2, m, p in cells),
-        ("risk1", "risk2"),
-        "joint table needs at least one cell with positive mass",
+    (key1, key2), (risk1, risk2), mass, prev, mean = _build(
+        cells, ("risk1", "risk2"), "joint table needs at least one cell with positive mass"
     )
-    cells_out = tuple(
-        JointCell(key1=k1, key2=k2, risk1=r1, risk2=r2, mass=m, prevalence=p)
-        for (k1, k2), (r1, r2), m, p in rows
-    )
-    return JointModelTable(cells=cells_out, population_mean=mean)
+    return JointModelTable(key1, key2, risk1, risk2, mass, prev, mean)

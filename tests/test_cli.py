@@ -321,6 +321,36 @@ class TestBadInputLines:
         assert f"{src}{where}" in capsys.readouterr().err
 
 
+class TestOverflowingSums:
+    """Finite values whose exact sum exceeds the float range exit 2, not with a traceback."""
+
+    def _run(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        return err
+
+    def test_table_masses(self, tmp_path, capsys):
+        joint = tmp_path / "j.csv"
+        joint.write_text("r1,r2,mass,prevalence\n0.1,0.2,1e308,0.5\n0.3,0.4,1e308,0.5\n")
+        grouped = tmp_path / "g.csv"
+        grouped.write_text("risk,mass,prevalence\n0.1,1e308,0.5\n0.3,1e308,0.5\n")
+        out = str(tmp_path / "out")
+        assert "masses sum to inf" in self._run(capsys, ["compare", str(joint), "--out", out])
+        assert "masses sum to inf" in self._run(capsys, ["eval", str(grouped), "--out", out])
+
+    def test_decile_row_person_years(self, tmp_path, capsys):
+        src = tmp_path / "cd.csv"
+        src.write_text(
+            "decile1,decile2,person_years,cases\n1,1,1e308,0\n1,2,1e308,0\n2,1,1000,2\n"
+        )
+        with pytest.raises(riskeval.ValidationError):
+            riskeval.read_cross_decile(src, 0.005, 10).to_joint()
+        argv = ["compare", str(src), "--mortality", "0.005", "--horizon", "10"]
+        err = self._run(capsys, argv + ["--out", str(tmp_path / "out")])
+        assert "person_years of decile1 1 sum to inf" in err
+
+
 class TestSynth:
     def test_default_run(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -78,6 +78,11 @@ class TestMakeDistribution:
         # 1e-10 off is inside the 1e-9 budget
         make_distribution([(0.5, 1.0 - 1e-10)])
 
+    def test_masses_summing_past_the_float_range_rejected(self):
+        # Two finite masses whose sum overflows fail the mass check.
+        with pytest.raises(MassSumOutOfTolerance, match="masses sum to inf"):
+            make_distribution([(0.1, 1e308), (0.2, 1e308)])
+
 
 class TestExtremes:
     def test_constant(self):

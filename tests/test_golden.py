@@ -80,6 +80,44 @@ def _no_prevalence_csv(path):
     return path
 
 
+def _nested_joint_csv(path):
+    """A nested joint table of 3000 rows, built by modular arithmetic.
+
+    Model 2 has about 2900 risks on a 1e-5 grid, and model 1 assigns each
+    block of 30 consecutive model-2 risks one risk, so model 2 nests in
+    model 1. Every 40th row repeats an earlier cell, once with its risk2
+    differing below 12 significant digits; a few rows have zero mass. The
+    risks `-0` and `0` are distinct keys at tied risk in both models, and
+    one cell that occurs once has prevalence `-0`.
+    """
+    n = 3000
+    cells = []  # (r1 text, r2 text, weight, prevalence text)
+    r2s = sorted({(j * 7919 % 99991 + 7) for j in range(n)})
+    for i in range(n):
+        if i % 40 == 39:
+            r1, r2, _, _ = cells[i // 40 * 17]
+            if i == 79:
+                r2 += "00000001"
+            cells.append((r1, r2, 1 + i % 5, f"0.{i * 389 % 1000:03d}"))
+            continue
+        g2 = r2s[(i * 1301) % n]
+        block = r2s.index(g2) // 30
+        r1 = f"{(block * 30 + 15) / 3000:.6f}"
+        r2 = f"{g2 / 100000:.5f}"
+        prev = min(0.999, g2 / 100000 * (0.6 + (i * 31 % 61) / 75))
+        cells.append((r1, r2, 1 + i * 17 % 23, f"{prev:.6f}"))
+    cells[5] = ("-0", "-0", 7, "0.125")
+    cells[6] = ("0", "0", 9, "0.25")
+    cells[7] = (cells[7][0], cells[7][1], 11, "-0")
+    cells[8] = (cells[8][0], cells[8][1], 0, "0.5")
+    cells[9] = ("0.5", "0.5", 0, "0.5")
+    total = sum(w for _, _, w, _ in cells)
+    lines = ["r1,r2,mass,prevalence"]
+    lines += [f"{r1},{r2},{format(w / total, '.12g')},{p}" for r1, r2, w, p in cells]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
 def _xdec():
     return str(riskeval.example_cross_decile_path())
 
@@ -93,6 +131,10 @@ SCENARIOS = {
         "compare", _xdec(), *XDEC_RATES, "--format", "json", "--percent"
     ],
     "compare_joint": lambda t: ["compare", str(_model_files(t)[2])],
+    "compare_nested_joint_csv": lambda t: ["compare", str(_nested_joint_csv(t / "nj.csv"))],
+    "compare_nested_joint_json_percent": lambda t: [
+        "compare", str(_nested_joint_csv(t / "nj.csv")), "--format", "json", "--percent"
+    ],
     "compare_grouped_pair_joint": lambda t: ["compare", *map(str, _model_files(t))],
     "eval_records_deciles": lambda t: [
         "eval", str(_records_csv(t / "rec.csv")), "--bins", "deciles"
@@ -133,7 +175,8 @@ def run_scenario(name, tmp_path, capsys):
 # Recorded before the merge-kernel refactor. Since then only synth_csv's two
 # subgroup_gain_alpha*.csv files changed: their comma-holding group keys are
 # now quoted. The two eval_untidy_records scenarios were recorded before the
-# columnar record reader replaced the per-row one.
+# columnar record reader replaced the per-row one. The two compare_nested_joint
+# scenarios were recorded before columnar tables replaced the row builder.
 GOLDEN = {
     "compare_grouped_pair_joint": (
         0,
@@ -151,6 +194,24 @@ GOLDEN = {
             "cell_bias.csv": "f61667aee801add6ddff25f3a82e7671d7a9e48856db8ffac3261e18ec1d9eca",
             "comparison.csv": "55ac7543b90952222da52640892ea03bd26e6870476132b6fc4ad1a1c8416734",
             "subgroup_gain.csv": "6383d7f21a007261d4616dab57c09d06961e03ef02580728b7010f72b56b02eb",
+        },
+    ),
+    "compare_nested_joint_csv": (
+        0,
+        "5029ac139695f1618c5d93a1bbdec63709ec844b31235af0e0f1844c0cd45840",
+        {
+            "cell_bias.csv": "0f37317620889b071d30f79885bf0f723ff12200c77a85f1fe3e0e5d028648fc",
+            "comparison.csv": "e228508e07edb2087825e1ba063e37a3feafb624ca3c89a80834a0eca122bbd5",
+            "subgroup_gain.csv": "73b0c7dc21d0ac7c89ae22f8359d677535bfebcd7ac5a19dfa575980171f5b50",
+        },
+    ),
+    "compare_nested_joint_json_percent": (
+        0,
+        "599a6fe048333452f58d7752fd5dee39b6b2b4aaf3625787ce4e91addaa3238e",
+        {
+            "cell_bias.csv": "0f37317620889b071d30f79885bf0f723ff12200c77a85f1fe3e0e5d028648fc",
+            "comparison.json": "a3a3a65b8ef3cf46059de573f5a31fe687f9c6a3a90b9f80cf2b456202ca78b3",
+            "subgroup_gain.json": "b95ba8f82dbeff451b379e73b3727cd684940549e33648911a3418dbcd1edb14",
         },
     ),
     "compare_xdec_csv": (
