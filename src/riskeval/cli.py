@@ -25,6 +25,7 @@ import json
 import sys
 from dataclasses import fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal
+from functools import partial
 from pathlib import Path
 
 from .comparison import (
@@ -96,10 +97,14 @@ class Writer:
         self.out_dir = out_dir
         self.out_format = out_format
         self.percent = percent
-        self.pending: list[tuple[Path, str]] = []
+        self.pending: list[tuple[Path, str | partial]] = []
 
     def add_text(self, name: str, text: str) -> None:
         self.pending.append((self.out_dir / name, text))
+
+    def add_csv(self, name: str, header, columns) -> None:
+        """A CSV file of columns, formatted when the files are written."""
+        self.pending.append((self.out_dir / name, partial(format_csv, header, columns=columns)))
 
     def add_report(self, name: str, kind: str, payload_pairs, rows=None) -> None:
         """One report in the configured format.
@@ -143,7 +148,7 @@ class Writer:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         written = []
         for path, text in sorted(self.pending, key=lambda item: str(item[0])):
-            path.write_text(text, encoding="utf-8")
+            path.write_text(text if isinstance(text, str) else text(), encoding="utf-8")
             written.append(path)
         return written
 
@@ -334,13 +339,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     writer = Writer(Path(args.out), args.format, args.percent)
     writer.add_report("comparison", "comparison", _report_pairs(comp))
     _add_gain_report(writer, "subgroup_gain", gain)
-    writer.add_text(
-        "cell_bias.csv",
-        format_csv(
-            ("group1", "group2", "mass", "prevalence", "risk1", "risk2", "bias1", "bias2"),
-            columns=cell_bias.columns(),
-        ),
-    )
+    header = ("group1", "group2", "mass", "prevalence", "risk1", "risk2", "bias1", "bias2")
+    writer.add_csv("cell_bias.csv", header, cell_bias.columns())
     for out in writer.flush():
         print(f"wrote {out}")
     return 0

@@ -2,12 +2,16 @@
 
 CSV dialects are fixed: comma separator, dot decimal point, required header
 row, UTF-8. Numeric output uses 12 significant digits so that write/load
-round trips agree within 1e-12 and golden files are byte-stable.
+round trips agree within 1e-12 and golden files are byte-stable. numpy's C
+reader takes plain grouped, joint and records files (one unquoted row per
+line, every field filled); csv.reader takes every other file, and cross-decile
+tables, and reports the first fault in file order.
 """
 
 import csv
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -163,6 +167,35 @@ def _read_columns(path, expected_header: list[str], optional: set[str] = frozens
     return path, linenos, {name: fields[j::width] for j, name in enumerate(header)}
 
 
+def _loadable(data: bytes) -> bool:
+    """No NUL, which would end a numpy text field, and no LF-ended line
+    longer than the field size limit that csv.reader enforces."""
+    limit, start = csv.field_size_limit(), 0
+    while len(data) - start > limit:
+        start = data.rfind(b"\n", start, start + limit + 1) + 1
+        if not start:
+            return False
+    return b"\0" not in data
+
+
+def _plain_columns(path, header: list[str], formats: tuple[str, ...]) -> list[np.ndarray] | None:
+    """Columns of a plain file (this header, then rows whose fields all parse
+    by their formats) read by numpy's C reader, else None. numpy's float
+    grammar is a subset of float()'s and gives the same bits."""
+    if read_header(path) != header:
+        return None
+    try:
+        if not _loadable(Path(path).read_bytes()):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns when the body is empty
+            rows = np.loadtxt(path, list(zip(header, formats)), comments=None, delimiter=",",
+                              skiprows=1, ndmin=1, encoding="utf-8")
+    except (OSError, ValueError):
+        return None
+    return [np.ascontiguousarray(rows[name]) for name in header] if len(rows) else None
+
+
 def _parse_float(path, lineno: int, name: str, text: str) -> float:
     try:
         return float(text)
@@ -202,13 +235,17 @@ def load_grouped(path) -> GroupedModelTable:
 
     The prevalence column (or individual prevalence fields) may be omitted;
     omitted prevalences default to the assigned risk and the returned table is
-    flagged declared_calibrated.
+    flagged declared_calibrated. numpy's reader takes only three full columns.
     """
-    path, linenos, columns = _read_columns(path, GROUPED_HEADER, optional={"prevalence"})
-    prevalences = columns.get("prevalence", [""] * len(linenos))
-    declared = "" in prevalences
-    columns["prevalence"] = [p or r for r, p in zip(columns["risk"], prevalences)]
-    risk, mass, prev = _float_columns(path, linenos, columns)
+    declared = False
+    columns = _plain_columns(path, GROUPED_HEADER, ("f8",) * 3)
+    if columns is None:
+        path, linenos, texts = _read_columns(path, GROUPED_HEADER, optional={"prevalence"})
+        prevalences = texts.get("prevalence", [""] * len(linenos))
+        declared = "" in prevalences
+        texts["prevalence"] = [p or r for r, p in zip(texts["risk"], prevalences)]
+        columns = _float_columns(path, linenos, texts)
+    risk, mass, prev = columns
     return make_grouped_table(
         Columns((_labels(risk),), (risk,), mass, prev), declared_calibrated=declared
     )
@@ -218,10 +255,11 @@ def load_joint(path) -> JointModelTable:
     """Load `r1,r2,mass,prevalence` CSV into a joint table.
 
     Cells are keyed by their formatted risk pair; duplicate keys merge with
-    mass-weighted prevalence.
+    mass-weighted prevalence. A plain file is read by numpy's reader.
     """
     # The field strings are freed before the table is built.
-    r1, r2, mass, prev = _float_columns(*_read_columns(path, JOINT_HEADER))
+    columns = _plain_columns(path, JOINT_HEADER, ("f8",) * 4)
+    r1, r2, mass, prev = columns or _float_columns(*_read_columns(path, JOINT_HEADER))
     return make_joint_table(Columns((_labels(r1), _labels(r2)), (r1, r2), mass, prev))
 
 
@@ -310,9 +348,17 @@ def _records_by_row(path, linenos, risk1_texts, risk2_texts, outcome_texts) -> I
 def load_individuals(path) -> IndividualRecords:
     """Load `risk1,risk2,outcome` CSV into columns; risk2 may be empty throughout.
 
-    Each column is checked whole; only when a check fails are the rows
-    walked one by one, so that the first bad field in file order is reported.
+    A plain file of valid records is read by numpy's reader. Otherwise each
+    column is checked whole; only when a check fails are the rows walked
+    one by one, so that the first bad field in file order is reported.
     """
+    plain = _plain_columns(path, INDIVIDUALS_HEADER, ("f8", "f8", "U2"))
+    if plain is not None:
+        risk1, risk2, outcome = plain
+        ones = outcome == "1"
+        in_unit = (risk1 >= 0.0) & (risk1 <= 1.0) & (risk2 >= 0.0) & (risk2 <= 1.0)
+        if (in_unit & (ones | (outcome == "0"))).all():
+            return IndividualRecords(risk1=risk1, risk2=risk2, outcome=ones.astype(np.uint8))
     path, linenos, columns = _read_columns(path, INDIVIDUALS_HEADER)
     risk1_texts, risk2_texts, outcome_texts = columns.values()
     no_risk2 = risk2_texts.count("") == len(linenos)
@@ -338,25 +384,17 @@ def _bin_ids(
     if k < 2:
         raise ParameterOutOfRange(f"quantile bin count {k} must be at least 2")
     n = len(risks)
-    if len(np.unique(risks)) < k:
-        raise DegenerateBins(f"{len(np.unique(risks))} distinct risks cannot fill {k} bins")
-    order = np.argsort(risks, kind="stable")
-    sorted_risks = risks[order]
-    bounds = []
-    for j in range(1, k):
-        b = n * j // k
-        # A tie run straddling the cut belongs to the lower bin.
-        while b < n and b > 0 and sorted_risks[b] == sorted_risks[b - 1]:
-            b += 1
-        bounds.append(b)
-    ids_sorted = np.searchsorted(np.asarray(bounds), np.arange(n), side="right")
-    ids = np.empty(n, dtype=int)
-    ids[order] = ids_sorted
-    kept = np.unique(ids_sorted)  # bins emptied by tie pushing disappear here
-    lookup = np.full(k, -1, dtype=int)
-    lookup[kept] = np.arange(len(kept))
+    # A cut is the last risk of a bin in sorted order; a record's bin counts the cuts
+    # below its risk, so a tie run straddling a cut falls in the lower bin.
+    at = [n * j // k - 1 for j in range(1, k)]
+    ids = np.searchsorted(np.partition(risks, at)[at], risks, side="left")
+    filled = np.bincount(ids, minlength=k) > 0
+    distinct = k if filled.all() else len(np.unique(risks))  # k filled bins hold k distinct risks
+    if distinct < k:
+        raise DegenerateBins(f"{distinct} distinct risks cannot fill {k} bins")
     width = len(str(k))
-    return lookup[ids], [f"q{int(old) + 1:0{width}d}" for old in kept], None
+    labels = [f"q{int(old) + 1:0{width}d}" for old in np.flatnonzero(filled)]
+    return (np.cumsum(filled) - 1)[ids], labels, None
 
 
 def _bin_model(risks: np.ndarray, outcomes: np.ndarray, scheme: str, k: int):

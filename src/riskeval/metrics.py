@@ -160,13 +160,14 @@ def evaluate(table: GroupedModelTable) -> MetricsReport:
     satisfy their exact algebraic relations within 1e-12.
     """
     pi = _require_nondegenerate(table)
+    variance = prevalence_variance(table)
     report = MetricsReport(
         population_mean=pi,
         bias_sq=calibration_bias_sq(table),
-        precision_loss=precision_loss(table),
+        precision_loss=pi * (1.0 - pi) - variance,
         brier=brier_score(table),
-        prevalence_variance=prevalence_variance(table),
-        ro_correlation=ro_correlation(table),
+        prevalence_variance=variance,
+        ro_correlation=math.sqrt(variance / (pi * (1.0 - pi))),
         integrated_discrimination=integrated_discrimination(table),
         concordance=concordance(table),
     )

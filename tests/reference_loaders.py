@@ -1,9 +1,10 @@
-"""Row-at-a-time reference loaders for differential tests.
+"""Row-at-a-time reference loaders and binning for differential tests.
 
 These are the per-row CSV reader and loader loops that the columnar reader
 in `riskeval.ingestion` replaced, kept verbatim in behaviour: one dict per
 row, one `IndividualRecord` per record. The columnar loaders must return an
 equal value or raise the same exception type with the same message.
+`bin_ids` is the sort-and-walk quantile binning that `_bin_ids` replaced.
 """
 
 import csv
@@ -11,9 +12,12 @@ import itertools
 import math
 from pathlib import Path
 
+import numpy as np
+
 from riskeval import (
     CrossDecileCell,
     CrossDecileTable,
+    DegenerateBins,
     EmptyInput,
     IndividualRecord,
     InvariantViolation,
@@ -153,3 +157,27 @@ def read_cross_decile(path, mortality, horizon):
     if not cells:
         raise EmptyInput(f"{path}: no nonempty cells")
     return CrossDecileTable(cells=tuple(cells), mortality=mortality, horizon=horizon)
+
+
+def bin_ids(risks, k):
+    """Quantile bin ids and labels: a stable sort, then a walk past each tie run."""
+    n = len(risks)
+    if len(np.unique(risks)) < k:
+        raise DegenerateBins(f"{len(np.unique(risks))} distinct risks cannot fill {k} bins")
+    order = np.argsort(risks, kind="stable")
+    sorted_risks = risks[order]
+    bounds = []
+    for j in range(1, k):
+        b = n * j // k
+        # A tie run straddling the cut belongs to the lower bin.
+        while b < n and b > 0 and sorted_risks[b] == sorted_risks[b - 1]:
+            b += 1
+        bounds.append(b)
+    ids_sorted = np.searchsorted(np.asarray(bounds), np.arange(n), side="right")
+    ids = np.empty(n, dtype=int)
+    ids[order] = ids_sorted
+    kept = np.unique(ids_sorted)  # bins emptied by tie pushing disappear here
+    lookup = np.full(k, -1, dtype=int)
+    lookup[kept] = np.arange(len(kept))
+    width = len(str(k))
+    return lookup[ids], [f"q{int(old) + 1:0{width}d}" for old in kept]

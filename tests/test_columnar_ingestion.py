@@ -1,6 +1,8 @@
-"""Columnar record ingestion: contract, memory, and parity with row loaders."""
+"""Columnar record ingestion: contract, memory, and parity with row loaders
+and with sort-based quantile binning."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import reference_loaders as ref
 from riskeval import (
+    DegenerateBins,
     IndividualRecord,
     IndividualRecords,
     bin_individuals,
@@ -17,6 +20,7 @@ from riskeval import (
     load_joint,
     read_cross_decile,
 )
+from riskeval import ingestion
 from riskeval.ingestion import (
     CROSS_DECILE_HEADER,
     GROUPED_HEADER,
@@ -132,6 +136,47 @@ LOADERS = {
 }
 
 
+# Plain rows: one unquoted line each, every field filled, so that numpy's
+# reader runs. Most files then get one change: a field swapped for one that
+# only float() or the stripped-text check accepts, that neither accepts, or
+# that csv.reader rejects (over its 128 KiB size limit); one column left
+# blank on every row; or a blank or whitespace-only line.
+PLAIN_NUMBERS = st.one_of(
+    st.floats(0.0, 1.0).map(repr),
+    st.sampled_from([
+        "0", "1", "-0", "0.0", ".5", "5e-1", "1e-300",
+        "\t0.5", "0.25\t", "\xa00.75\xa0", " 0.125 ",
+    ]),
+)
+ODD_NUMBERS = [
+    "nan", "inf", "2", "1_0", "\u0663", "#0.5", "0.5#", "#", "0." + "0" * (128 * 1024) + "5",
+]
+ODD_OUTCOMES = ["1.0", "01", "10", "+1", " 1 ", "1\t", "1\x00", "#"]
+
+
+@st.composite
+def _plain_rows(draw, kind):
+    width = len(HEADERS[kind])
+    outcome = st.sampled_from(["0", "1"])
+    row = (
+        st.tuples(PLAIN_NUMBERS, PLAIN_NUMBERS, outcome)
+        if kind == "individuals"
+        else st.tuples(*[PLAIN_NUMBERS] * width)
+    )
+    rows = [list(r) for r in draw(st.lists(row, min_size=1, max_size=6))]
+    change = draw(st.sampled_from(["none", "number", "outcome", "blank column", "blank line"]))
+    i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, width - 1))
+    if change == "outcome" and kind == "individuals":
+        rows[i][2] = draw(st.sampled_from(ODD_OUTCOMES))
+    elif change in ("number", "outcome"):
+        rows[i][j] = draw(st.sampled_from(ODD_NUMBERS))
+    elif change == "blank column":
+        rows = [r[:j] + [""] + r[j + 1 :] for r in rows]
+    elif change == "blank line":
+        rows.insert(i, [draw(st.sampled_from(["", " ", "\t"]))])
+    return rows
+
+
 def _row(kind):
     valid = st.tuples(*(st.sampled_from(choices) for choices in VALID_FIELDS[kind]))
     untidy = st.lists(st.sampled_from(TOKENS), min_size=0, max_size=4)
@@ -154,13 +199,17 @@ def test_columnar_loaders_match_row_loaders(kind, tmp_path_factory):
 
     @settings(max_examples=250, deadline=None)
     @given(
-        rows=st.lists(_row(kind), min_size=0, max_size=8),
+        rows=st.one_of(st.lists(_row(kind), min_size=0, max_size=8), _plain_rows(kind)),
         newline=st.sampled_from(["\n", "\r\n", "\r"]),
+        reversed_header=st.sampled_from([False, False, False, True]),
     )
-    def check(rows, newline):
-        lines = [",".join(HEADERS[kind])] + [",".join(row) for row in rows]
+    def check(rows, newline, reversed_header):
+        header = HEADERS[kind][::-1] if reversed_header else HEADERS[kind]
+        lines = [",".join(header)] + [",".join(row) for row in rows]
         path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
-        assert _outcome(new, path) == _outcome(old, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no reader may warn, even on an empty body
+            assert _outcome(new, path) == _outcome(old, path)
 
     check()
 
@@ -180,3 +229,71 @@ def test_reader_error_order_matches_row_loader(tmp_path, body):
     got = _outcome(load_individuals, path)
     assert got[0] == "raised"
     assert got == _outcome(ref.load_individuals, path)
+
+
+def _no_csv_reader(*args, **kwargs):
+    raise AssertionError("a plain file went to csv.reader")
+
+
+@pytest.mark.parametrize("risk2", [True, False])
+def test_plain_records_skip_csv_reader_only_when_filled(tmp_path, monkeypatch, risk2):
+    path = _records_file(tmp_path / "r.csv", 1000, 3, risk2=risk2)
+    by_csv = load_individuals(path)
+    monkeypatch.setattr(ingestion, "_read_columns", _no_csv_reader)
+    if not risk2:  # a blank field is not plain
+        with pytest.raises(AssertionError, match="csv.reader"):
+            load_individuals(path)
+        return
+    plain = load_individuals(path)
+    assert plain == ref.load_individuals(path)
+    for name in ("risk1", "risk2", "outcome"):
+        got, want = getattr(plain, name), getattr(by_csv, name)
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_plain_tables_skip_csv_reader(tmp_path, monkeypatch):
+    joint = tmp_path / "j.csv"
+    joint.write_text("r1,r2,mass,prevalence\n0.1,0.2,0.5,0.15\n0.3,-0,0.25,0.3\n0.3,0,0.25,0.2\n")
+    grouped = tmp_path / "g.csv"
+    grouped.write_text("risk,mass,prevalence\r\n0.1,0.5,0.15\r\n\r\n 0.3 ,0.5,\t0.3\r\n")
+    want = ref.load_joint(joint), ref.load_grouped(grouped)
+    monkeypatch.setattr(ingestion, "_read_columns", _no_csv_reader)
+    assert (load_joint(joint), load_grouped(grouped)) == want
+    assert repr(load_joint(joint)) == repr(want[0])
+
+
+# Tie-heavy risks: few distinct values, -0.0 beside 0.0, and values one ulp
+# apart, so tie runs straddle one or several cuts and empty some bins.
+TIE_VALUES = [-0.0, 0.0, 0.1, 0.25, 0.5, 0.5000000000000001, 0.75, 1.0]
+
+
+@st.composite
+def _tied_risks(draw):
+    k = draw(st.integers(2, 12))
+    values = st.sampled_from(TIE_VALUES) | st.floats(0.0, 1.0)
+    # A value drawn into the pool more than once is drawn more often below.
+    pool = draw(st.lists(values, min_size=k - 1, max_size=2 * k + 2))
+    risks = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=200))
+    return np.array(risks, dtype=float), k
+
+
+def _binned(bin_ids, risks, k):
+    try:
+        return bin_ids(risks, k)
+    except DegenerateBins as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_tied_risks())
+def test_quantile_bins_match_sort_and_walk(case):
+    risks, k = case
+    got = _binned(lambda r, k: ingestion._bin_ids(r, "quantiles", k)[:2], risks, k)
+    want = _binned(ref.bin_ids, risks, k)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (ids, labels), (want_ids, want_labels) = got, want
+    assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+    assert labels == want_labels
