@@ -17,7 +17,7 @@ JSON report schema (schema_version 1): a top-level object with
 and the report payload. Float leaves are rounded to 12 significant digits.
 With --percent, every float leaf gains a sibling "<name>_pct" rounded
 half-even to 0.1 percentage points; CSV reports gain matching *_pct columns.
-CSV text fields that hold a comma or a double quote are quoted.
+CSV text fields holding a comma, a double quote or a line break are quoted.
 """
 
 import argparse
@@ -333,9 +333,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise ParseError("compare takes one table path or GROUPED1 GROUPED2 JOINT")
     comp = compare(table1, table2)
     gain = subgroup_precision_gain(joint)
-    risks1 = dict(zip(table1.key.tolist(), table1.risk.tolist()))
-    risks2 = dict(zip(table2.key.tolist(), table2.risk.tolist()))
-    cell_bias = cross_classified_bias(joint, risks1, risks2)
+    cell_bias = cross_classified_bias(joint, table1, table2)
     writer = Writer(Path(args.out), args.format, args.percent)
     writer.add_report("comparison", "comparison", _report_pairs(comp))
     _add_gain_report(writer, "subgroup_gain", gain)

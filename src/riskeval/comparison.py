@@ -142,8 +142,12 @@ class CellBiasTable(Sequence):
         return CellBias(*(col[i : i + 1 or None].tolist()[0] for col in self.columns()))
 
 
-def _assigned(risks: Mapping[str, float], keys: np.ndarray) -> np.ndarray:
+def _assigned(risks: Mapping[str, float] | GroupedModelTable, keys: np.ndarray) -> np.ndarray:
     """risks[key] for each key as float64; NaN where a key has none."""
+    if isinstance(risks, GroupedModelTable):
+        rows = dict(zip(risks.key.tolist(), range(len(risks.key))))
+        found = map(rows.get, keys.tolist(), [-1] * len(keys))  # -1: the appended NaN
+        return np.append(risks.risk, math.nan)[np.fromiter(found, np.intp, len(keys))]
     keys = keys.tolist()
     try:
         values = [risks[key] for key in keys]
@@ -162,18 +166,22 @@ def _check_cell(key1: str, key2: str, risks1, risks2) -> None:
 
 def cross_classified_bias(
     joint: JointModelTable,
-    risks1: Mapping[str, float],
-    risks2: Mapping[str, float],
+    risks1: Mapping[str, float] | GroupedModelTable,
+    risks2: Mapping[str, float] | GroupedModelTable,
 ) -> CellBiasTable:
     """Per-cell bias of each model's assigned risk against the cell prevalence.
 
-    risks1 and risks2 map group keys of each model to assigned risks; every
-    joint cell's keys must be covered. The first cell, in cell order, whose
-    keys are not covered or whose risks are not in [0, 1] raises.
+    risks1 and risks2 map group keys to assigned risks, or are the grouped
+    tables; every joint cell's keys must be covered. The first cell, in cell
+    order, whose keys are not covered or whose risks are not in [0, 1] raises.
     """
     r1, r2 = _assigned(risks1, joint.key1), _assigned(risks2, joint.key2)
     bad = _first(_outside_unit(r1) | _outside_unit(r2))
     if bad < len(r1):
+        risks1, risks2 = (
+            dict(zip(r.key.tolist(), r.risk.tolist())) if isinstance(r, GroupedModelTable) else r
+            for r in (risks1, risks2)
+        )
         _check_cell(joint.key1[bad], joint.key2[bad], risks1, risks2)
         raise InternalInvariantError(f"cell {bad} failed a column check but passes its own")
     p = joint.prevalence

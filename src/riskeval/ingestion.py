@@ -1,16 +1,19 @@
 """File formats, record binning, and rate-to-risk conversion.
 
 CSV dialects are fixed: comma separator, dot decimal point, required header
-row, UTF-8. Numeric output uses 12 significant digits so that write/load
-round trips agree within 1e-12 and golden files are byte-stable. numpy's C
-reader takes plain grouped, joint and records files (one unquoted row per
-line, every field filled); csv.reader takes every other file, and cross-decile
-tables, and reports the first fault in file order.
+row, UTF-8. Float text, in CSV columns and group labels, equals format(x,
+".12g"), from one exact vectorized formatter that falls back to format per
+value, so write/load round trips agree within 1e-12. numpy's C reader takes
+plain grouped, joint and records files (one unquoted row per line, every
+field filled); csv.reader takes every other file, and cross-decile tables,
+and reports the first fault in file order.
 """
 
 import csv
+import functools
 import itertools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -37,7 +40,6 @@ from .tables import (
     JointModelTable,
     _key_codes,
     _merge,
-    format_label,
     make_grouped_table,
     make_joint_table,
 )
@@ -223,11 +225,11 @@ def _labels(values: np.ndarray) -> np.ndarray:
     """format_label of each value, as an object array.
 
     Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep their
-    own labels.
+    own labels and equal values share one str.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    labels = map(format, bits.view(np.float64).tolist(), itertools.repeat(".12g"))
-    return np.array(list(labels), dtype=object)[inverse]
+    labels = _lines([bits.view(np.float64)]).split("\n")[:-1]
+    return np.array(labels, dtype=object)[inverse]
 
 
 def load_grouped(path) -> GroupedModelTable:
@@ -378,7 +380,7 @@ def _bin_ids(
     exact bin risks when the scheme fixes them (None for computed means)."""
     if scheme == "unique-values":
         values, ids = np.unique(risks, return_inverse=True)
-        return ids, [format_label(v) for v in values], values
+        return ids, _labels(values).tolist(), values
     if scheme != "quantiles":
         raise ParameterOutOfRange(f"unknown binning scheme {scheme!r}")
     if k < 2:
@@ -549,38 +551,109 @@ def example_cross_decile_path() -> Path:
     return Path(str(resources.files("riskeval").joinpath("data/example_crossdecile.csv")))
 
 
+_QUOTED = re.compile('[,"\r\n]')  # a CSV text field holding one of these is quoted
+_PAD = 0xFF  # fills field rows; never a byte of UTF-8 text
+_BLOCK_ROWS = 1 << 13  # rows formatted at a time, so temporaries stay bounded
+
+
 def _csv_text(v) -> str:
     text = str(v)
-    if "," in text or '"' in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
+    return '"' + text.replace('"', '""') + '"' if _QUOTED.search(text) else text
 
 
-def _column_fields(column):
-    """A column's CSV fields: floats of a float array at 12 significant digits, else text."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return map(format, column.tolist(), itertools.repeat(".12g"))
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ASCII digits of 0..9999 packed in uint32s, 10**0..10**22, and the field of
+    each exponent -11..34 and digit count kept: sign, the `0.000` below 1, digit
+    j at 6 + 2j (0, to be OR-ed) and an optional point after it, then `e+XX`."""
+    quads = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+    rows = np.full((46, 33), _PAD, dtype=np.uint8)
+    rows[:, 6:29:2] = 0
+    for e, row in enumerate(rows, -11):
+        if e < -4 or e >= 12:
+            row[7] = ord(".")
+            row[29:] = np.frombuffer(b"e%+03d" % e, np.uint8)
+        elif e < 0:
+            row[1 : 2 - e] = np.frombuffer(b"0.000"[: 1 - e], np.uint8)
+        elif e < 11:
+            row[7 + 2 * e] = ord(".")
+    slot = np.arange(33)  # k digits kept: the point after the last and all up to `e` go
+    strip = (slot >= 5 + 2 * np.arange(13)[:, None]) & (slot < 29)
+    templates = np.where(strip, _PAD, rows[:, None])
+    powers = np.array([10**k for k in range(23)], dtype=np.float64)
+    return np.ascontiguousarray(quads).view(np.uint32).ravel(), powers, templates.reshape(-1, 33)
+
+
+def _float_fields(values) -> np.ndarray:
+    """`format(v, ".12g")` of each value, one row of ASCII bytes each, padded with _PAD.
+
+    y = |v| * 10**(11 - floor(log10|v|)) is one correctly rounded multiply or
+    divide by an exact power of ten; rounding is monotonic and half-integers
+    below 2**52 are doubles, so where 1e11 <= y < 1e12 and y is no half-integer,
+    rint(y) is the significand format prints (1e12 carries). Other values (0,
+    subnormals, inf, nan, |v| outside [1e-11, 1e34), ties) go to format.
+    """
+    quads, powers, templates = _digit_tables()
+    x = np.asarray(values, dtype=np.float64)
+    a = np.where(np.isfinite(x), np.abs(x), 0.0)
+    e = np.clip(np.floor(np.log10(a, out=np.zeros_like(a), where=a > 0.0)), -11, 33).astype(np.intp)
+    scale = np.take(powers, np.abs(11 - e))
+    y = np.multiply(a, scale, out=a / scale, where=e <= 11)
+    d = np.rint(y)
+    exact = (y >= 1e11) & (y < 1e12) & (np.abs(y - d) != 0.5)
+    e += d == 1e12
+    d = np.where(exact & (d < 1e12), d, 1e11).astype(np.int64)
+    digits = np.take(quads, np.stack([d // 10**8, d // 10**4 % 10**4, d % 10**4], axis=1))
+    digits = digits.view(np.uint8)
+    nd = 12 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # significant digits
+    keep = np.where((e >= 0) & (e < 12), np.maximum(nd, e + 1), nd)  # fixed keeps integer digits
+    fields = np.take(templates, (e + 11) * 13 + keep, axis=0)
+    fields[:, 0] = np.where(np.signbit(x), ord("-"), _PAD)
+    fields[:, 6:29:2] |= digits
+    text = np.array([format(v, ".12g") for v in x[~exact].tolist()], "S33").view(np.uint8)
+    fields[~exact] = np.where(text == 0, _PAD, text).reshape(-1, 33)
+    return fields
+
+
+def _text_fields(column) -> np.ndarray:
+    """UTF-8 bytes of each text field, quoted as CSV needs, one row each, padded with _PAD."""
     texts = list(map(str, column))
-    joined = "".join(texts)
-    return map(_csv_text, texts) if "," in joined or '"' in joined else texts
+    data = list(map(str.encode, map(_csv_text, texts) if _QUOTED.search("".join(texts)) else texts))
+    lengths = np.fromiter(map(len, data), np.int64, len(data))
+    fields = np.array(data, dtype="S").view(np.uint8).reshape(len(data), -1)
+    np.copyto(fields, _PAD, where=np.arange(fields.shape[1]) >= lengths[:, None])
+    return fields
 
 
-def format_csv(header, rows=(), *, columns=None) -> str:
+def _lines(columns) -> str:
+    """CSV lines of columns (float arrays and text sequences), one per entry."""
+    kinds = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
+    floats = [c for c, f in zip(columns, kinds) if f]  # formatted in one call
+    packed = iter(np.split(_float_fields(np.concatenate(floats)), len(floats)) if floats else ())
+    fields = [next(packed) if f else _text_fields(c) for c, f in zip(columns, kinds)]
+    comma = np.full((len(fields[0]), 1), ord(","), dtype=np.uint8)
+    block = np.concatenate([m for f in fields for m in (f, comma)], axis=1)
+    block[:, -1] = ord("\n")
+    return block.tobytes().translate(None, bytes([_PAD])).decode("utf-8")
+
+
+def format_csv(header, rows=(), *, columns=()) -> str:
     """CSV text: the header line, then one line per row of values.
 
-    The values come as rows, or as columns (float arrays and text
-    sequences) with one line per entry. Floats are written at 12
-    significant digits, as format_label writes them; a text field that
-    holds a comma or a double quote is quoted, its quotes doubled.
+    The values come as rows, or as columns (float arrays and text sequences)
+    with one line per entry. Floats are written as format(x, ".12g") does,
+    float arrays by one exact vectorized formatter with a per-value fallback;
+    text holding a comma, a double quote or a line break is quoted.
     """
-    lines = [",".join(header)]
-    if columns is not None:
-        lines += map(",".join, zip(*map(_column_fields, columns)))
-    lines += [
-        ",".join([format(v, ".12g") if isinstance(v, float) else _csv_text(v) for v in row])
+    parts = [",".join(header) + "\n"]
+    n = min(map(len, columns), default=0)
+    for start in range(0, n, _BLOCK_ROWS):
+        parts.append(_lines([column[start : min(n, start + _BLOCK_ROWS)] for column in columns]))
+    parts += [
+        ",".join([format(v, ".12g") if isinstance(v, float) else _csv_text(v) for v in row]) + "\n"
         for row in rows
     ]
-    return "\n".join(lines) + "\n"
+    return "".join(parts)
 
 
 def grouped_csv(table: GroupedModelTable) -> str:

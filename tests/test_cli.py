@@ -230,6 +230,20 @@ class TestCompare:
         assert abs(got["idi"] - comp.idi) <= TOL
         assert abs(got["brier_difference"] - comp.brier_difference) <= TOL
 
+    def test_joint_key_missing_from_a_grouped_file(self, tmp_path, model2_b, joint_b, capsys):
+        g1, g2, jt = (tmp_path / n for n in ("m1.csv", "m2.csv", "joint.csv"))
+        g1.write_text(MODEL1_B_CSV.replace("\n0.1,0.1,0.1\n", "\n0.1000001,0.1,0.1\n"))
+        write_grouped(model2_b, g2)
+        write_joint(joint_b, jt)
+        tables = [riskeval.load_grouped(p) for p in (g1, g2)]
+        mappings = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in tables]
+        with pytest.raises(riskeval.MissingAssignment) as want:
+            riskeval.cross_classified_bias(riskeval.load_joint(jt), *mappings)
+        assert str(want.value) == "no assigned risk for group '0.1'"
+        out = tmp_path / "out"
+        assert main(["compare", str(g1), str(g2), str(jt), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {want.value}\n"
+
     def test_mean_mismatch(self, tmp_path, model2_b, joint_b, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(MODEL1_B_CSV.replace("0.6184,0.08,0.6184", "0.6184,0.08,0.9"))

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from conftest import joint_as_grouped, random_grouped_table, random_joint_table
 from riskeval import (
+    GroupedModelTable,
     GroupKeyMismatch,
     MeanMismatch,
     MissingAssignment,
+    RiskOutOfRange,
     brier_score,
     calibration_bias_sq,
     compare,
@@ -160,6 +162,47 @@ class TestCrossClassifiedBias:
         incomplete.popitem()
         with pytest.raises(MissingAssignment):
             cross_classified_bias(joint_b, incomplete, risks2)
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_grouped_tables_give_the_bits_of_their_mappings(self, seed):
+        joint = random_joint_table(np.random.default_rng(seed))
+        tables = joint.marginal(1), joint.marginal(2)
+        mappings = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in tables]
+        for mixed in (tables, mappings, (tables[0], mappings[1])):
+            got = cross_classified_bias(joint, *mixed).columns()
+            want = cross_classified_bias(joint, *mappings).columns()
+            assert [c.tolist() for c in got[:2]] == [c.tolist() for c in want[:2]]
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got[2:], want[2:]))
+
+    def test_first_bad_cell_message_is_the_mappings(self, joint_b, model1_b, model2_b):
+        """A grouped table reports the first bad cell as its mapping does."""
+        late, early = joint_b.key1[5], joint_b.key2[3]
+        renamed = [
+            make_grouped_table(
+                (k + "?" if k == key else k, r, m, p)
+                for k, r, m, p in zip(t.keys, t.risks, t.masses, t.prevalences)
+            )
+            for t, key in ((model1_b, late), (model2_b, early))
+        ]
+        mappings = [dict(zip(t.keys, t.risks)) for t in renamed]
+        out_of_range = dict(zip(model2_b.keys, model2_b.risks), **{early: 1.5})
+        for risks1, risks2, error in (
+            (renamed[0], renamed[1], MissingAssignment),
+            (renamed[0], model2_b, MissingAssignment),
+            (model1_b, out_of_range, RiskOutOfRange),
+        ):
+            with pytest.raises(error) as got:
+                cross_classified_bias(joint_b, risks1, risks2)
+            as_mapping = [
+                dict(zip(r.keys, r.risks)) if isinstance(r, GroupedModelTable) else r
+                for r in (risks1, risks2)
+            ]
+            with pytest.raises(error) as want:
+                cross_classified_bias(joint_b, *as_mapping)
+            assert str(got.value) == str(want.value)
+        assert str(got.value) == "risk2 1.5 outside [0, 1]"
+        with pytest.raises(MissingAssignment, match=repr(early)):
+            cross_classified_bias(joint_b, *mappings)
 
 
 class TestSubgroupPrecisionGain:

@@ -118,6 +118,35 @@ def _nested_joint_csv(path):
     return path
 
 
+def _edge_digits_joint_csv(path):
+    """A 7-cell joint table whose values reach every branch of `.12g` text.
+
+    Risks and prevalences hold 1 and 0, 1e-4 beside 9.99999999999e-05,
+    0.000099999999999996 (whose 12 digits carry to 0.0001), 12th-digit
+    half-way decimals such as 0.1000000000005, and a `-0` prevalence; two
+    cells carry the masses 1e-300 and 5e-324 (a subnormal).
+    """
+    rows = [
+        "1,1,0.1,1",
+        "0,0,0.15,0",
+        "1e-4,9.99999999999e-05,0.2,0.0001",
+        "0.000099999999999996,0.1000000000005,0.25,-0",
+        "0.1000000000005,0.000099999999999996,0.3,0.1000000000015",
+        "0.5,0.25,1e-300,0.1000000000025",
+        "0.5,0.75,5e-324,0.9999999999995",
+    ]
+    path.write_text("r1,r2,mass,prevalence\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+def _edge_digits_marginal_csv(tmp_path):
+    """Model 2's grouped marginal of the edge-digit joint table, as written."""
+    joint = riskeval.load_joint(_edge_digits_joint_csv(tmp_path / "edge.csv"))
+    path = tmp_path / "edge_marginal.csv"
+    write_grouped(joint.marginal(2), path)
+    return path
+
+
 def _xdec():
     return str(riskeval.example_cross_decile_path())
 
@@ -136,6 +165,11 @@ SCENARIOS = {
         "compare", str(_nested_joint_csv(t / "nj.csv")), "--format", "json", "--percent"
     ],
     "compare_grouped_pair_joint": lambda t: ["compare", *map(str, _model_files(t))],
+    "compare_edge_digits_csv": lambda t: ["compare", str(_edge_digits_joint_csv(t / "edge.csv"))],
+    "compare_edge_digits_json_percent": lambda t: [
+        "compare", str(_edge_digits_joint_csv(t / "edge.csv")), "--format", "json", "--percent"
+    ],
+    "eval_edge_digits_marginal": lambda t: ["eval", str(_edge_digits_marginal_csv(t))],
     "eval_records_deciles": lambda t: [
         "eval", str(_records_csv(t / "rec.csv")), "--bins", "deciles"
     ],
@@ -176,8 +210,28 @@ def run_scenario(name, tmp_path, capsys):
 # subgroup_gain_alpha*.csv files changed: their comma-holding group keys are
 # now quoted. The two eval_untidy_records scenarios were recorded before the
 # columnar record reader replaced the per-row one. The two compare_nested_joint
-# scenarios were recorded before columnar tables replaced the row builder.
+# scenarios were recorded before columnar tables replaced the row builder. The
+# three edge_digits scenarios were recorded before the vectorized 12-digit
+# float formatter replaced per-value `format`.
 GOLDEN = {
+    "compare_edge_digits_csv": (
+        0,
+        "5029ac139695f1618c5d93a1bbdec63709ec844b31235af0e0f1844c0cd45840",
+        {
+            "cell_bias.csv": "62db60924055b00b146f45c10cebff7e21db42976749b4d334e4581c242afb19",
+            "comparison.csv": "5004726cb3afd231618fb997bb8bdb2fce1228d92bd55a73817e4e7c34cfcce0",
+            "subgroup_gain.csv": "86b5a71b841721e15191f73eaccb7442d11955f66dc08bb72ef43a125d1ab7cd",
+        },
+    ),
+    "compare_edge_digits_json_percent": (
+        0,
+        "599a6fe048333452f58d7752fd5dee39b6b2b4aaf3625787ce4e91addaa3238e",
+        {
+            "cell_bias.csv": "62db60924055b00b146f45c10cebff7e21db42976749b4d334e4581c242afb19",
+            "comparison.json": "0d6364e8a74ac89084f5f77cd83cfdb48eb30818eb53eb836211e761244c2eb5",
+            "subgroup_gain.json": "4e810ae50e01163efc157aa4aa40d3284181d5d0316450c56c2247fe36202b95",
+        },
+    ),
     "compare_grouped_pair_joint": (
         0,
         "5029ac139695f1618c5d93a1bbdec63709ec844b31235af0e0f1844c0cd45840",
@@ -236,6 +290,14 @@ GOLDEN = {
         0,
         "de5862eb03af5115e76636bbe5d84f152382dfccda3874ac32e62721f567f958",
         {},
+    ),
+    "eval_edge_digits_marginal": (
+        0,
+        "7e70a6d35b20c6f14c838c454b8e1bd5e9c38af83e8bcb615404dbb19cd99c19",
+        {
+            "attributes.csv": "57e574b998d962eb8338929fb2705488b5a67cc03deb160308dec888a5905be5",
+            "metrics.csv": "28131e2f9113c1db04edff6b9ec399b55d95cc792d2f0f568dde4c99ea43b6fd",
+        },
     ),
     "eval_grouped_no_prevalence": (
         0,
