@@ -49,6 +49,7 @@ from .ingestion import (
     INDIVIDUALS_HEADER,
     JOINT_HEADER,
     bin_individuals,
+    csv_chunks,
     format_csv,
     grouped_csv,
     load_cross_decile,
@@ -103,8 +104,8 @@ class Writer:
         self.pending.append((self.out_dir / name, text))
 
     def add_csv(self, name: str, header, columns) -> None:
-        """A CSV file of columns, formatted when the files are written."""
-        self.pending.append((self.out_dir / name, partial(format_csv, header, columns=columns)))
+        """A CSV file of columns, formatted block by block as the file is written."""
+        self.pending.append((self.out_dir / name, partial(csv_chunks, header, columns=columns)))
 
     def add_report(self, name: str, kind: str, payload_pairs, rows=None) -> None:
         """One report in the configured format.
@@ -148,7 +149,8 @@ class Writer:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         written = []
         for path, text in sorted(self.pending, key=lambda item: str(item[0])):
-            path.write_text(text if isinstance(text, str) else text(), encoding="utf-8")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines([text] if isinstance(text, str) else text())
             written.append(path)
         return written
 

@@ -27,11 +27,12 @@ from .tables import (
     Columns,
     GroupedModelTable,
     JointModelTable,
+    KeyColumn,
     _first,
     _floats,
-    _key_codes,
     _outside_unit,
     make_grouped_table,
+    rows_of,
 )
 
 MEAN_MATCH_RTOL = 1e-9
@@ -86,13 +87,13 @@ def transfer_calibration(
     prevalences come from the target. Both tables must have identical group
     keys (the same model structure).
     """
-    source_row = {key: i for i, key in enumerate(source.key.tolist())}
-    target_keys = target.key.tolist()
-    if set(source_row) != set(target_keys):
-        missing = sorted(set(source_row) ^ set(target_keys))
+    rows = rows_of(source, target.key_column)
+    # Keys are unique, so every target key found and equal counts mean equal key sets.
+    if len(source.mass) != len(rows) or (rows < 0).any():
+        missing = sorted(set(source.key.tolist()) ^ set(target.key.tolist()))
         raise GroupKeyMismatch(f"group keys differ between source and target: {missing}")
-    risk = source.prevalence[[source_row[key] for key in target_keys]]
-    return make_grouped_table(Columns((target.key,), (risk,), target.mass, target.prevalence))
+    risk = (source.prevalence[rows],)
+    return make_grouped_table(Columns((target.key_column,), risk, target.mass, target.prevalence))
 
 
 @dataclass(frozen=True)
@@ -114,17 +115,19 @@ class CellBiasTable(Sequence):
     """Per-cell biases of a joint table, one column per CellBias field.
 
     A read-only sequence of CellBias rows, in the joint table's cell order;
-    rows are built from the columns on access.
+    rows, and the key1 and key2 arrays of str, are built on access.
     """
 
-    key1: np.ndarray
-    key2: np.ndarray
+    key1_column: KeyColumn
+    key2_column: KeyColumn
     mass: np.ndarray
     prevalence: np.ndarray
     risk1: np.ndarray
     risk2: np.ndarray
     bias1: np.ndarray
     bias2: np.ndarray
+    key1 = property(lambda self: self.key1_column.array())
+    key2 = property(lambda self: self.key2_column.array())
 
     def columns(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
@@ -142,18 +145,12 @@ class CellBiasTable(Sequence):
         return CellBias(*(col[i : i + 1 or None].tolist()[0] for col in self.columns()))
 
 
-def _assigned(risks: Mapping[str, float] | GroupedModelTable, keys: np.ndarray) -> np.ndarray:
-    """risks[key] for each key as float64; NaN where a key has none."""
+def _assigned(risks: Mapping[str, float] | GroupedModelTable, keys: KeyColumn) -> np.ndarray:
+    """risks[key] for each entry's key as float64 (a mapping is looked up once
+    per label of the vocabulary); NaN where a key has none."""
     if isinstance(risks, GroupedModelTable):
-        rows = dict(zip(risks.key.tolist(), range(len(risks.key))))
-        found = map(rows.get, keys.tolist(), [-1] * len(keys))  # -1: the appended NaN
-        return np.append(risks.risk, math.nan)[np.fromiter(found, np.intp, len(keys))]
-    keys = keys.tolist()
-    try:
-        values = [risks[key] for key in keys]
-    except KeyError:
-        values = [risks[key] if key in risks else math.nan for key in keys]
-    return _floats(values)
+        return np.append(risks.risk, math.nan)[rows_of(risks, keys)]  # -1: the appended NaN
+    return _floats([risks.get(key, math.nan) for key in keys.labels.tolist()])[keys.codes]
 
 
 def _check_cell(key1: str, key2: str, risks1, risks2) -> None:
@@ -175,7 +172,7 @@ def cross_classified_bias(
     tables; every joint cell's keys must be covered. The first cell, in cell
     order, whose keys are not covered or whose risks are not in [0, 1] raises.
     """
-    r1, r2 = _assigned(risks1, joint.key1), _assigned(risks2, joint.key2)
+    r1, r2 = _assigned(risks1, joint.key1_column), _assigned(risks2, joint.key2_column)
     bad = _first(_outside_unit(r1) | _outside_unit(r2))
     if bad < len(r1):
         risks1, risks2 = (
@@ -185,7 +182,8 @@ def cross_classified_bias(
         _check_cell(joint.key1[bad], joint.key2[bad], risks1, risks2)
         raise InternalInvariantError(f"cell {bad} failed a column check but passes its own")
     p = joint.prevalence
-    return CellBiasTable(joint.key1, joint.key2, joint.mass, p, r1, r2, r1 - p, r2 - p)
+    keys = joint.key1_column, joint.key2_column
+    return CellBiasTable(*keys, joint.mass, p, r1, r2, r1 - p, r2 - p)
 
 
 @dataclass(frozen=True)
@@ -218,10 +216,11 @@ def subgroup_precision_gain(joint: JointModelTable) -> SubgroupGainReport:
     within-group variances is the total Brier precision gained by refining
     model 1 with the cross-classification.
     """
-    codes, first = _key_codes(joint.key1)
+    keys = joint.key1_column
     # Cells grouped by model-1 key, in cell order within each group.
-    order = np.argsort(codes, kind="stable")
-    sizes = np.bincount(codes)
+    order = np.argsort(keys.codes, kind="stable")
+    sizes = np.bincount(keys.codes)
+    sizes = sizes[sizes > 0]  # the vocabulary may hold labels of no cell
     ends = np.cumsum(sizes)
     spans = list(zip((ends - sizes).tolist(), ends.tolist()))
     m, p = joint.mass[order], joint.prevalence[order]
@@ -233,7 +232,8 @@ def subgroup_precision_gain(joint: JointModelTable) -> SubgroupGainReport:
     mass = group_sums(m)
     mean = group_sums(m * p) / mass
     var = (group_sums(m * _squares(p - np.repeat(mean, sizes))) / mass).tolist()
-    mass, risk, prev = mass.tolist(), joint.risk1[order[ends - sizes]].tolist(), p.tolist()
+    heads = order[ends - sizes]  # each group's first cell
+    mass, risk, prev = mass.tolist(), joint.risk1[heads].tolist(), p.tolist()
     rows = [
         SubgroupGain(
             key=key,
@@ -244,7 +244,7 @@ def subgroup_precision_gain(joint: JointModelTable) -> SubgroupGainReport:
             variance=var[g],
             sd=math.sqrt(var[g]),
         )
-        for g, (key, (a, b)) in enumerate(zip(joint.key1[first].tolist(), spans))
+        for g, (key, (a, b)) in enumerate(zip(keys[heads].tolist(), spans))
     ]
     rows.sort(key=lambda r: (r.risk, r.key))
     total = math.fsum(r.mass * r.variance for r in rows)

@@ -38,8 +38,9 @@ from .tables import (
     Columns,
     GroupedModelTable,
     JointModelTable,
-    _key_codes,
+    KeyColumn,
     _merge,
+    coded,
     make_grouped_table,
     make_joint_table,
 )
@@ -221,15 +222,20 @@ def _float_columns(path, linenos, columns: dict[str, list[str]]) -> list[np.ndar
         raise
 
 
-def _labels(values: np.ndarray) -> np.ndarray:
-    """format_label of each value, as an object array.
+def _labels(values: np.ndarray) -> KeyColumn:
+    """Key column of format_label of each value, its vocabulary as bytes.
 
     Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep their
-    own labels and equal values share one str.
+    own labels "-0" and "0"; bit patterns that print one label (x and its
+    neighbour at 12 digits, NaNs of either sign) share its code.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    labels = _lines([bits.view(np.float64)]).split("\n")[:-1]
-    return np.array(labels, dtype=object)[inverse]
+    fields = _float_fields(bits.view(np.float64))
+    lines = np.concatenate([fields, np.full((len(fields), 1), ord("\n"), np.uint8)], axis=1)
+    text = lines.tobytes().translate(None, bytes([_PAD])).split(b"\n")[:-1]
+    width = (fields != _PAD).sum(axis=1).max(initial=1)
+    vocab, codes = np.unique(np.array(text, dtype=f"S{width}"), return_inverse=True)
+    return KeyColumn(codes[inverse], vocab)
 
 
 def load_grouped(path) -> GroupedModelTable:
@@ -375,12 +381,12 @@ def load_individuals(path) -> IndividualRecords:
 
 def _bin_ids(
     risks: np.ndarray, scheme: str, k: int
-) -> tuple[np.ndarray, list[str], np.ndarray | None]:
-    """Assign each record a bin id; returns ids, ordered bin labels, and the
-    exact bin risks when the scheme fixes them (None for computed means)."""
+) -> tuple[np.ndarray, KeyColumn | list[str], np.ndarray | None]:
+    """Assign each record a bin id; returns ids, ordered bin labels (a KeyColumn
+    for unique values), and the exact bin risks when the scheme fixes them."""
     if scheme == "unique-values":
         values, ids = np.unique(risks, return_inverse=True)
-        return ids, _labels(values).tolist(), values
+        return ids, _labels(values), values
     if scheme != "quantiles":
         raise ParameterOutOfRange(f"unknown binning scheme {scheme!r}")
     if k < 2:
@@ -400,12 +406,13 @@ def _bin_ids(
 
 
 def _bin_model(risks: np.ndarray, outcomes: np.ndarray, scheme: str, k: int):
-    """One model's bins: record bin ids, bin labels, counts, risks and prevalences.
+    """One model's bins: record bin ids, bin keys, counts, risks and prevalences.
 
     A bin's risk is its exact value when the scheme fixes it, else the mean
     member risk.
     """
     ids, labels, risk_of = _bin_ids(risks, scheme, k)
+    labels = labels if isinstance(labels, KeyColumn) else coded(labels)
     counts = np.bincount(ids, minlength=len(labels))
     if risk_of is None:
         risk_of = np.bincount(ids, weights=risks, minlength=len(labels)) / counts
@@ -444,7 +451,7 @@ def bin_individuals(
     pair_counts = np.bincount(pair_of)
     pair_cases = np.bincount(pair_of, weights=outcomes)
     i, j = np.divmod(pair_ids, len(labels2))
-    keys = (np.array(labels1, dtype=object)[i], np.array(labels2, dtype=object)[j])
+    keys = (labels1[i], labels2[j])
     cells = Columns(keys, (risk1_of[i], risk2_of[j]), pair_counts / n, pair_cases / pair_counts)
     return grouped, make_joint_table(cells)
 
@@ -491,9 +498,8 @@ class CrossDecileTable:
         mass, prev = np.array(mass), np.array(prev)
         keys, risks = [], []
         for deciles in (d1, d2):
-            keys.append([f"d{d:0{width}d}" for d in deciles])
-            codes, _ = _key_codes(keys[-1])
-            risks.append(_merge(codes, mass, prev)[1][codes])
+            keys.append(coded(f"d{d:0{width}d}" for d in deciles))
+            risks.append(_merge(keys[-1].codes, mass, prev)[1][keys[-1].codes])
         return make_joint_table(Columns(tuple(keys), tuple(risks), mass, prev))
 
 
@@ -616,7 +622,13 @@ def _float_fields(values) -> np.ndarray:
 
 
 def _text_fields(column) -> np.ndarray:
-    """UTF-8 bytes of each text field, quoted as CSV needs, one row each, padded with _PAD."""
+    """UTF-8 bytes of each text field, quoted as CSV needs, one row each, padded with _PAD.
+
+    A key column with a bytes vocabulary takes its rows from the vocabulary's.
+    """
+    if isinstance(column, KeyColumn) and column.vocab.dtype != object:
+        fields = column.vocab.view(np.uint8).reshape(len(column.vocab), -1)[column.codes]
+        return np.where(fields == 0, _PAD, fields)
     texts = list(map(str, column))
     data = list(map(str.encode, map(_csv_text, texts) if _QUOTED.search("".join(texts)) else texts))
     lengths = np.fromiter(map(len, data), np.int64, len(data))
@@ -626,7 +638,7 @@ def _text_fields(column) -> np.ndarray:
 
 
 def _lines(columns) -> str:
-    """CSV lines of columns (float arrays and text sequences), one per entry."""
+    """CSV lines of columns (float arrays, key columns, text sequences), one per entry."""
     kinds = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
     floats = [c for c, f in zip(columns, kinds) if f]  # formatted in one call
     packed = iter(np.split(_float_fields(np.concatenate(floats)), len(floats)) if floats else ())
@@ -637,23 +649,27 @@ def _lines(columns) -> str:
     return block.tobytes().translate(None, bytes([_PAD])).decode("utf-8")
 
 
+def csv_chunks(header, rows=(), *, columns=()):
+    """The text of format_csv in pieces: the header line, then blocks of lines."""
+    yield ",".join(header) + "\n"
+    n = min(map(len, columns), default=0)
+    for start in range(0, n, _BLOCK_ROWS):
+        yield _lines([column[start : min(n, start + _BLOCK_ROWS)] for column in columns])
+    for row in rows:
+        fields = [format(v, ".12g") if isinstance(v, float) else _csv_text(v) for v in row]
+        yield ",".join(fields) + "\n"
+
+
 def format_csv(header, rows=(), *, columns=()) -> str:
     """CSV text: the header line, then one line per row of values.
 
-    The values come as rows, or as columns (float arrays and text sequences)
-    with one line per entry. Floats are written as format(x, ".12g") does,
-    float arrays by one exact vectorized formatter with a per-value fallback;
-    text holding a comma, a double quote or a line break is quoted.
+    The values come as rows, or as columns (float arrays, key columns and
+    text sequences) with one line per entry. Floats are written as
+    format(x, ".12g") does, float arrays by one exact vectorized formatter
+    with a per-value fallback; text holding a comma, a double quote or a
+    line break is quoted.
     """
-    parts = [",".join(header) + "\n"]
-    n = min(map(len, columns), default=0)
-    for start in range(0, n, _BLOCK_ROWS):
-        parts.append(_lines([column[start : min(n, start + _BLOCK_ROWS)] for column in columns]))
-    parts += [
-        ",".join([format(v, ".12g") if isinstance(v, float) else _csv_text(v) for v in row]) + "\n"
-        for row in rows
-    ]
-    return "".join(parts)
+    return "".join(csv_chunks(header, rows, columns=columns))
 
 
 def grouped_csv(table: GroupedModelTable) -> str:

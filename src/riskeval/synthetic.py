@@ -20,12 +20,14 @@ import numpy as np
 from .distributions import RiskDistribution, _merge_tied_risks, make_distribution
 from .errors import ParameterOutOfRange
 from .tables import (
+    Columns,
     GroupedModelTable,
     JointModelTable,
-    _key_codes,
     _merge,
+    coded,
     make_grouped_table,
     make_joint_table,
+    rows_of,
 )
 
 COVARIATES = ("z0", "z1", "z2", "z3")
@@ -98,7 +100,8 @@ def _cell_label(cell: CovariateCell, subset: tuple[str, ...]) -> str:
 
 
 def _project(pop: SyntheticPopulation, subset):
-    """Grouped table for a covariate subset plus the cell-label -> group-key map.
+    """Grouped table for a covariate subset, and the key column of the group
+    of each positive-mass cell.
 
     Well-calibrated convention: assigned risk equals the class prevalence,
     so classes of equal prevalence form one group, keyed by their labels
@@ -106,15 +109,15 @@ def _project(pop: SyntheticPopulation, subset):
     """
     subset = _canonical_subset(subset)
     cells = [c for c in pop.cells if c.mass != 0.0]
-    labels = [_cell_label(c, subset) for c in cells]
-    codes, first = _key_codes(labels)
-    mass, prev = _merge(codes, np.array([c.mass for c in cells]), np.array([c.risk for c in cells]))
-    classes = zip(prev.tolist(), mass.tolist(), [labels[i] for i in first])
-    tied = _merge_tied_risks(sorted(classes))
-    groups = [("|".join(sorted(labels)), prev, mass, labels) for prev, mass, labels in tied]
-    table = make_grouped_table((key, prev, mass, prev) for key, prev, mass, _ in groups)
-    label_to_key = {label: key for key, _, _, labels in groups for label in labels}
-    return table, label_to_key
+    classes = coded(_cell_label(c, subset) for c in cells)
+    mass, prev = _merge(classes.codes, *np.array([(c.mass, c.risk) for c in cells]).T)
+    # A class's code ranks its label, so classes sort as their labels do.
+    tied = _merge_tied_risks(sorted(zip(prev.tolist(), mass.tolist(), range(len(prev)))))
+    key_of = np.empty(len(prev), dtype=object)  # group key of each class
+    for _, _, members in tied:
+        key_of[members] = "|".join(classes.labels[sorted(members)])
+    table = make_grouped_table((key_of[members[0]], p, m, p) for p, m, members in tied)
+    return table, coded(key_of[classes.codes])
 
 
 def project_model(pop: SyntheticPopulation, subset) -> GroupedModelTable:
@@ -131,18 +134,10 @@ def project_model(pop: SyntheticPopulation, subset) -> GroupedModelTable:
 def cross_classify(pop: SyntheticPopulation, subset1, subset2) -> JointModelTable:
     """Joint table of the two projected models, cells keyed by group pairs."""
     s1, s2 = _canonical_subset(subset1), _canonical_subset(subset2)
-    table1, map1 = _project(pop, s1)
-    table2, map2 = _project(pop, s2)
-    risk1 = dict(zip(table1.key.tolist(), table1.risk.tolist()))
-    risk2 = dict(zip(table2.key.tolist(), table2.risk.tolist()))
-    rows = []
-    for c in pop.cells:
-        if c.mass == 0.0:
-            continue
-        k1 = map1[_cell_label(c, s1)]
-        k2 = map2[_cell_label(c, s2)]
-        rows.append((k1, k2, risk1[k1], risk2[k2], c.mass, c.risk))
-    return make_joint_table(rows)
+    (table1, keys1), (table2, keys2) = _project(pop, s1), _project(pop, s2)
+    risks = (table1.risk[rows_of(table1, keys1)], table2.risk[rows_of(table2, keys2)])
+    mass, risk = np.array([(c.mass, c.risk) for c in pop.cells if c.mass != 0.0]).T
+    return make_joint_table(Columns((keys1, keys2), risks, mass, risk))
 
 
 def closed_form_prevalence_oracle(alpha: float, z0: int, z1: int, z2: int | None = None) -> float:

@@ -5,10 +5,12 @@ carries the model's assigned risk, the fraction of the population in the
 group, and the group's observed (or exactly computed) outcome prevalence.
 A joint table cross-classifies two models over the same population.
 
-Tables hold numpy columns with one entry per group or cell: keys (an object
-array of str), assigned risks, masses and prevalences. Their `groups` and
-`cells` rows, and the `keys`/`risks`/`masses`/`prevalences` tuples, are
-read-only views built on demand; every computation reads the columns.
+Tables hold numpy columns with one entry per group or cell: keys (a
+KeyColumn: integer codes into a vocabulary of labels, coded once when a table
+is built or loaded), assigned risks, masses and prevalences. The `key`/`key1`/
+`key2` object arrays of str, `groups` and `cells` rows, and the `keys`/
+`risks`/`masses`/`prevalences` tuples are read-only views built on demand;
+every computation, merging and matching keys included, reads the columns.
 
 Group keys are identity. Entries that share a key are one group; distinct
 keys stay distinct groups even when their assigned risks are equal, so a
@@ -69,21 +71,72 @@ def _outside_unit(x: np.ndarray) -> np.ndarray:
     return ~((x >= 0.0) & (x <= 1.0))
 
 
-def _key_codes(*columns) -> tuple[np.ndarray, np.ndarray]:
-    """Dense codes of the key tuples that columns form, row by row.
+def _as_str(labels: np.ndarray) -> np.ndarray:
+    return labels if labels.dtype == object else labels.astype(str).astype(object)
 
-    Returns the codes, numbered in order of first appearance for a single
-    column, and the first row of each code. Keys are compared as Python
-    objects in a dict, so distinct str keys never collide.
+
+@dataclass(frozen=True, eq=False)
+class KeyColumn:
+    """Group keys: codes[i] indexes entry i's label in vocab.
+
+    vocab holds distinct labels in str order, so codes compare as their keys
+    do: an object array of str or, for float labels (ASCII that CSV need not
+    quote), NUL-padded bytes, which sort alike. It may hold unused labels;
+    indexing takes entries and shares the vocabulary.
     """
-    n = len(columns[0])
-    code = np.zeros(n, dtype=np.int64)
-    for col in columns:
-        col = col.tolist() if isinstance(col, np.ndarray) else col
-        # Each key is coded by the row where it first appears.
-        code = code * n + np.fromiter(map({}.setdefault, col, range(n)), np.int64, n)
-    _, first, code = np.unique(code, return_index=True, return_inverse=True)
-    return code, first
+
+    codes: np.ndarray
+    vocab: np.ndarray
+
+    def __post_init__(self):
+        self.codes.flags.writeable = self.vocab.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, rows) -> "KeyColumn":
+        return KeyColumn(self.codes[rows], self.vocab)
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    @property
+    def labels(self) -> np.ndarray:
+        """The vocabulary as an object array of str."""
+        return _as_str(self.vocab)
+
+    def array(self) -> np.ndarray:
+        """Each entry's key, as an object array of str."""
+        return _as_str(self.vocab[self.codes])
+
+    def tolist(self) -> list[str]:
+        return self.array().tolist()
+
+
+def coded(keys) -> KeyColumn:
+    """KeyColumn of str() of each key."""
+    vocab, codes = np.unique(np.array(list(map(str, keys)), dtype=object), return_inverse=True)
+    return KeyColumn(codes, vocab)
+
+
+def rows_of(table: "GroupedModelTable", keys: KeyColumn) -> np.ndarray:
+    """Row of table holding each entry's key in keys; -1 where no row does.
+
+    Two vocabularies are matched by one stable sort of both: a label in
+    both lands right after its equal from the table's vocabulary.
+    """
+    own = table.key_column
+    row = np.full(len(own.vocab) + 1, -1)  # the last slot stands for a missing label
+    row[own.codes] = np.arange(len(own))
+    if keys.vocab is own.vocab:
+        return row[keys.codes]
+    same = own.vocab.dtype.kind == keys.vocab.dtype.kind
+    both = np.concatenate([own.vocab, keys.vocab] if same else [own.labels, keys.labels])
+    order = np.argsort(both, kind="stable")
+    hit = np.flatnonzero(both[order[1:]] == both[order[:-1]])
+    at = np.full(len(keys.vocab), len(own.vocab))
+    at[order[hit + 1] - len(own.vocab)] = order[hit]
+    return row[at[keys.codes]]
 
 
 def _merge(codes: np.ndarray, mass: np.ndarray, prev: np.ndarray):
@@ -101,24 +154,6 @@ def _merge(codes: np.ndarray, mass: np.ndarray, prev: np.ndarray):
         return total, wsum / total
 
 
-def _ranks(keys: np.ndarray) -> np.ndarray:
-    """Rank of each key in str order."""
-    index = {k: i for i, k in enumerate(sorted(set(keys.tolist())))}
-    return np.fromiter(map(index.__getitem__, keys.tolist()), np.int64, len(keys))
-
-
-def _sort_order(risks: list, keys: list) -> np.ndarray:
-    """Order of rows by (risks..., keys...); keys are ranked only if risks tie."""
-    order = np.lexsort(risks[::-1])
-    tied = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for r in risks:
-        s = r[order]
-        tied &= s[1:] == s[:-1]
-    if not tied.any():
-        return order
-    return np.lexsort([_ranks(k) for k in keys[::-1]] + risks[::-1])
-
-
 def _check_entry(columns, i: int, risk_names) -> None:
     """The per-entry checks, in order: mass, then (positive mass only) risks and prevalence."""
     if _check_mass(columns.mass[i]) != 0.0:
@@ -132,8 +167,9 @@ class Columns:
     """Table entries held as columns, accepted by the table builders.
 
     keys and risks hold one column per model (one for a grouped table, two
-    for a joint table); key columns hold str, value columns anything that
-    float() takes. Its length is the number of entries.
+    for a joint table); key columns are KeyColumns or sequences coded by
+    str(), value columns anything that float() takes. Its length is the
+    number of entries.
     """
 
     keys: tuple
@@ -153,16 +189,15 @@ def _build(entries, risk_names, empty_message):
     merge, and the groups are sorted by (risks, keys); masses must sum to 1
     within 1e-9. Errors are raised in entry order, each entry checked as
     _check_entry does and then against the first entry of its key. Returns
-    (key columns, risk columns, mass, prevalence, population mean).
+    (KeyColumns, risk columns, mass, prevalence, population mean).
     """
     width = len(risk_names)
     if not isinstance(entries, Columns):
         cols = list(zip(*entries, strict=True)) or [()] * (2 * width + 2)
         if len(cols) != 2 * width + 2:
             raise ValueError(f"entries need {2 * width + 2} fields, got {len(cols)}")
-        keys = tuple(list(map(str, k)) for k in cols[:width])
-        entries = Columns(keys, cols[width:-2], *cols[-2:])
-    keys = [np.asarray(k, dtype=object) for k in entries.keys]
+        entries = Columns(cols[:width], cols[width:-2], *cols[-2:])
+    keys = [k if isinstance(k, KeyColumn) else coded(k) for k in entries.keys]
     risks = [_floats(r) for r in entries.risks]
     mass, prev = _floats(entries.mass), _floats(entries.prevalence)
     live = mass > 0.0
@@ -171,7 +206,10 @@ def _build(entries, risk_names, empty_message):
         bad |= live & _outside_unit(x)
     stop = _first(bad)
     rows = np.flatnonzero(live[:stop])
-    codes, first = _key_codes(*(k[rows] for k in keys))
+    code = np.zeros(len(rows), dtype=np.int64)
+    for k in keys:
+        code = code * len(k.vocab) + k.codes[rows]
+    _, first, codes = np.unique(code, return_index=True, return_inverse=True)
     conflict = np.zeros(len(rows), dtype=bool)
     for r in risks:
         kept = r[rows]
@@ -179,7 +217,8 @@ def _build(entries, risk_names, empty_message):
     at = _first(conflict)
     if at < len(rows):
         i, j = rows[at], rows[first[codes[at]]]
-        key = keys[0][i] if width == 1 else tuple(k[i] for k in keys)
+        key = tuple(k.labels[k.codes[i]] for k in keys)
+        key = key[0] if width == 1 else key
         raise InvariantViolation(
             f"group {key!r} carries conflicting assigned risks "
             f"{tuple(float(r[j]) for r in risks)!r} and {tuple(float(r[i]) for r in risks)!r}"
@@ -191,7 +230,7 @@ def _build(entries, risk_names, empty_message):
         raise EmptyInput(empty_message)
     total, prevalence = _merge(codes, mass[rows], prev[rows])
     heads = rows[first]  # a merged group keeps the risks of its first entry
-    order = _sort_order([r[heads] for r in risks], [k[heads] for k in keys])
+    order = np.lexsort([k.codes[heads] for k in keys[::-1]] + [r[heads] for r in risks[::-1]])
     total, prevalence, heads = total[order], prevalence[order], heads[order]
     _check_total_mass(total.tolist())
     mean = math.fsum((total * prevalence).tolist())
@@ -239,15 +278,15 @@ class Group:
 class GroupedModelTable(_RowView):
     """One model's risk groups over a population, sorted by (risk, key).
 
-    Columns key, risk, mass and prevalence hold one entry per group. Keys
-    are identity and unique. Groups are never merged for sharing an
+    Columns key_column, risk, mass and prevalence hold one entry per group.
+    Keys are identity and unique. Groups are never merged for sharing an
     assigned risk: several groups may carry the same risk. population_mean
     is the mass-weighted prevalence. declared_calibrated marks tables whose
-    prevalences were defaulted to the assigned risks at load time. groups
-    is a view of the columns as Group rows, built on each access.
+    prevalences were defaulted to the assigned risks at load time. key (str)
+    and groups (Group rows) are views of the columns, built on each access.
     """
 
-    key: np.ndarray
+    key_column: KeyColumn
     risk: np.ndarray
     mass: np.ndarray
     prevalence: np.ndarray
@@ -256,6 +295,8 @@ class GroupedModelTable(_RowView):
 
     _repr_fields = ("groups", "population_mean", "declared_calibrated")
     _compare_fields = ("groups", "population_mean")
+
+    key = property(lambda self: self.key_column.array())
 
     @property
     def groups(self) -> tuple[Group, ...]:
@@ -324,15 +365,15 @@ class JointCell:
 class JointModelTable(_RowView):
     """Cross-classification of two models over one population.
 
-    Columns key1, key2, risk1, risk2, mass and prevalence hold one entry
-    per cell. Cells are keyed by (first-model group, second-model group)
-    pairs and sorted by (risk1, risk2, key1, key2). Marginalizing over
-    either model reproduces the other model's grouped table. cells is a
-    view of the columns as JointCell rows, built on each access.
+    Columns key1_column, key2_column, risk1, risk2, mass and prevalence hold
+    one entry per cell. Cells are keyed by (first-model group, second-model
+    group) pairs and sorted by (risk1, risk2, key1, key2). Marginalizing
+    over either model reproduces the other model's grouped table. key1, key2
+    (str) and cells (JointCell rows) are views built on each access.
     """
 
-    key1: np.ndarray
-    key2: np.ndarray
+    key1_column: KeyColumn
+    key2_column: KeyColumn
     risk1: np.ndarray
     risk2: np.ndarray
     mass: np.ndarray
@@ -340,6 +381,8 @@ class JointModelTable(_RowView):
     population_mean: float
 
     _repr_fields = _compare_fields = ("cells", "population_mean")
+    key1 = property(lambda self: self.key1_column.array())
+    key2 = property(lambda self: self.key2_column.array())
 
     @property
     def cells(self) -> tuple[JointCell, ...]:
@@ -354,7 +397,7 @@ class JointModelTable(_RowView):
         """
         if axis not in (1, 2):
             raise ValueError("axis must be 1 or 2")
-        key, risk = (self.key1, self.risk1) if axis == 1 else (self.key2, self.risk2)
+        key, risk = (self.key1_column, self.risk1) if axis == 1 else (self.key2_column, self.risk2)
         return make_grouped_table(Columns((key,), (risk,), self.mass, self.prevalence))
 
 

@@ -98,8 +98,10 @@ def test_float_text_edge_values():
 def test_labels_are_format_12g_per_bit_pattern():
     values = np.array([0.1, -0.0, 0.0, 0.1, 1e-4, 0.000099999999999996, -0.0])
     labels = _labels(values)
-    assert labels.dtype == object
     assert labels.tolist() == ["0.1", "-0", "0", "0.1", "0.0001", "0.0001", "-0"]
+    # One code per label, numbered in str order.
+    assert labels.labels.tolist() == ["-0", "0", "0.0001", "0.1"]
+    assert labels.codes.tolist() == [3, 0, 1, 3, 2, 2, 0]
 
 
 # ---------------------------------------------------------------------------
