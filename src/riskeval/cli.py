@@ -114,33 +114,23 @@ class Writer:
         (row_field_names, list of row dicts) for tabular reports.
         """
         pairs = _with_percent(payload_pairs, self.percent)
-        if rows is not None:
-            columns, row_dicts = rows
-            pct_fields = [f for f in columns if f in _PCT_COLUMNS] if self.percent else []
+        columns, row_dicts = rows or ((), ())
+        pct_fields = [f for f in columns if f in _PCT_COLUMNS] if self.percent else []
+        header = [*columns, *(f"{f}_pct" for f in pct_fields)]
+        # Both formats take the rounded rows: round12 keeps a float's 12-digit CSV text.
+        table = [
+            [round12(row[f]) if isinstance(row[f], float) else row[f] for f in columns]
+            + [percent_round(row[f]) for f in pct_fields]
+            for row in row_dicts
+        ]
         if self.out_format == "json":
             payload = {"schema_version": 1, "kind": kind}
             payload.update((k, round12(v) if isinstance(v, float) else v) for k, v in pairs)
             if rows is not None:
-                payload["rows"] = [
-                    {
-                        **{
-                            f: round12(row[f]) if isinstance(row[f], float) else row[f]
-                            for f in columns
-                        },
-                        **{f"{f}_pct": percent_round(row[f]) for f in pct_fields},
-                    }
-                    for row in row_dicts
-                ]
+                payload["rows"] = [dict(zip(header, values)) for values in table]
             self.add_text(f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
             return
-        sections = []
-        if rows is not None:
-            header = list(columns) + [f"{f}_pct" for f in pct_fields]
-            body = (
-                [row[f] for f in columns] + [percent_round(row[f]) for f in pct_fields]
-                for row in row_dicts
-            )
-            sections.append(format_csv(header, body))
+        sections = [format_csv(header, table)] if rows is not None else []
         if pairs:
             sections.append(format_csv(("metric", "value"), pairs))
         self.add_text(f"{name}.csv", "\n".join(sections))

@@ -28,9 +28,9 @@ from .tables import (
     GroupedModelTable,
     JointModelTable,
     KeyColumn,
-    _first,
     _floats,
     _outside_unit,
+    _raise_first,
     make_grouped_table,
     rows_of,
 )
@@ -153,12 +153,18 @@ def _assigned(risks: Mapping[str, float] | GroupedModelTable, keys: KeyColumn) -
     return _floats([risks.get(key, math.nan) for key in keys.labels.tolist()])[keys.codes]
 
 
-def _check_cell(key1: str, key2: str, risks1, risks2) -> None:
-    for key, risks in ((key1, risks1), (key2, risks2)):
-        if key not in risks:
+def _check_cell(joint: JointModelTable, risks1, risks2, i: int) -> None:
+    """Cell i's own checks: both keys covered, then both risks in [0, 1]."""
+    keys = joint.key1[i], joint.key2[i]
+    risks = [
+        dict(zip(r.key.tolist(), r.risk.tolist())) if isinstance(r, GroupedModelTable) else r
+        for r in (risks1, risks2)
+    ]
+    for key, r in zip(keys, risks):
+        if key not in r:
             raise MissingAssignment(f"no assigned risk for group {key!r}")
-    _check_unit_interval("risk1", risks1[key1])
-    _check_unit_interval("risk2", risks2[key2])
+    for name, key, r in zip(("risk1", "risk2"), keys, risks):
+        _check_unit_interval(name, r[key])
 
 
 def cross_classified_bias(
@@ -173,14 +179,8 @@ def cross_classified_bias(
     order, whose keys are not covered or whose risks are not in [0, 1] raises.
     """
     r1, r2 = _assigned(risks1, joint.key1_column), _assigned(risks2, joint.key2_column)
-    bad = _first(_outside_unit(r1) | _outside_unit(r2))
-    if bad < len(r1):
-        risks1, risks2 = (
-            dict(zip(r.key.tolist(), r.risk.tolist())) if isinstance(r, GroupedModelTable) else r
-            for r in (risks1, risks2)
-        )
-        _check_cell(joint.key1[bad], joint.key2[bad], risks1, risks2)
-        raise InternalInvariantError(f"cell {bad} failed a column check but passes its own")
+    bad = _outside_unit(r1) | _outside_unit(r2)
+    _raise_first(bad, "cell", lambda i: _check_cell(joint, risks1, risks2, i))
     p = joint.prevalence
     keys = joint.key1_column, joint.key2_column
     return CellBiasTable(*keys, joint.mass, p, r1, r2, r1 - p, r2 - p)

@@ -39,7 +39,10 @@ from .tables import (
     GroupedModelTable,
     JointModelTable,
     KeyColumn,
+    _floats,
     _merge,
+    _outside_unit,
+    _raise_first,
     coded,
     make_grouped_table,
     make_joint_table,
@@ -319,63 +322,57 @@ class IndividualRecords:
         return list(self) == other if isinstance(other, list) else NotImplemented
 
 
-def _unit_column(texts: list[str]) -> np.ndarray | None:
-    """Fields parsed with float, or None if one does not parse or lies outside [0, 1]."""
-    try:
-        values = np.fromiter(map(float, texts), dtype=float, count=len(texts))
-    except ValueError:
-        return None
-    return values if ((values >= 0.0) & (values <= 1.0)).all() else None
+def _faults(risk1: np.ndarray, risk2: np.ndarray | None, outcome: np.ndarray) -> np.ndarray:
+    """True on each record with a risk that is not a number in [0, 1] (NaN
+    where a field did not parse) or an outcome other than 0 or 1."""
+    faults = _outside_unit(risk1) | (outcome > 1)
+    return faults if risk2 is None else faults | _outside_unit(risk2)
 
 
-def _records_by_row(path, linenos, risk1_texts, risk2_texts, outcome_texts) -> IndividualRecords:
-    """Check and convert record fields one row at a time, in file order.
-
-    The first failing check raises: risk1 parse, risk2 parse, outcome, risk1
-    range, risk2 range; a risk2 column filled on some rows only raises after
-    the last row.
-    """
-    records = []
-    for lineno, risk1_text, risk2_text, outcome_text in zip(
-        linenos, risk1_texts, risk2_texts, outcome_texts
-    ):
-        risk1 = _parse_float(path, lineno, "risk1", risk1_text)
-        risk2 = _parse_float(path, lineno, "risk2", risk2_text) if risk2_text else None
-        if outcome_text not in ("0", "1"):
-            raise ParseError(f"{path}:{lineno}: outcome {outcome_text!r} must be 0 or 1")
-        for name, r in (("risk1", risk1), ("risk2", risk2)):
-            if r is not None and not 0.0 <= r <= 1.0:
-                raise RiskOutOfRange(f"{path}:{lineno}: {name} {r} outside [0, 1]")
-        records.append(IndividualRecord(risk1=risk1, risk2=risk2, outcome=int(outcome_text)))
-    present = [r.risk2 is not None for r in records]
-    if any(present) and not all(present):
-        raise ParseError(f"{path}: risk2 must be present on all rows or none")
-    return IndividualRecords.from_records(records)
+def _check_record(path, linenos, columns: dict[str, list[str]], i: int) -> None:
+    """Record i's checks in order: risk1 parse, risk2 parse (when filled),
+    outcome, risk1 range, risk2 range."""
+    lineno = linenos[i]
+    risk1_text, risk2_text, outcome_text = (c[i] for c in columns.values())
+    risk1 = _parse_float(path, lineno, "risk1", risk1_text)
+    risk2 = _parse_float(path, lineno, "risk2", risk2_text) if risk2_text else None
+    if outcome_text not in ("0", "1"):
+        raise ParseError(f"{path}:{lineno}: outcome {outcome_text!r} must be 0 or 1")
+    for name, r in (("risk1", risk1), ("risk2", risk2)):
+        if r is not None and not 0.0 <= r <= 1.0:
+            raise RiskOutOfRange(f"{path}:{lineno}: {name} {r} outside [0, 1]")
 
 
 def load_individuals(path) -> IndividualRecords:
     """Load `risk1,risk2,outcome` CSV into columns; risk2 may be empty throughout.
 
-    A plain file of valid records is read by numpy's reader. Otherwise each
-    column is checked whole; only when a check fails are the rows walked
-    one by one, so that the first bad field in file order is reported.
+    numpy's reader takes a plain file, csv.reader every other one, and both
+    readers' columns go through one fault mask (_faults). A plain file with a
+    fault is read again by csv.reader; then the first faulty record in file
+    order raises through its own checks (_check_record). A risk2 column
+    filled on some rows only raises after that.
     """
     plain = _plain_columns(path, INDIVIDUALS_HEADER, ("f8", "f8", "U2"))
     if plain is not None:
-        risk1, risk2, outcome = plain
-        ones = outcome == "1"
-        in_unit = (risk1 >= 0.0) & (risk1 <= 1.0) & (risk2 >= 0.0) & (risk2 <= 1.0)
-        if (in_unit & (ones | (outcome == "0"))).all():
-            return IndividualRecords(risk1=risk1, risk2=risk2, outcome=ones.astype(np.uint8))
+        risk1, risk2, outcome_text = plain
+        ones = outcome_text == "1"
+        outcome = np.where(ones | (outcome_text == "0"), ones.view(np.uint8), np.uint8(2))
+        if not _faults(risk1, risk2, outcome).any():
+            return IndividualRecords(risk1=risk1, risk2=risk2, outcome=outcome)
     path, linenos, columns = _read_columns(path, INDIVIDUALS_HEADER)
     risk1_texts, risk2_texts, outcome_texts = columns.values()
-    no_risk2 = risk2_texts.count("") == len(linenos)
-    risk1 = _unit_column(risk1_texts)
-    risk2 = None if no_risk2 else _unit_column(risk2_texts)
-    if risk1 is None or (risk2 is None and not no_risk2) or not set(outcome_texts) <= {"0", "1"}:
-        return _records_by_row(path, linenos, risk1_texts, risk2_texts, outcome_texts)
-    # Every outcome field is "0" or "1" here, one ASCII character each.
+    blank = risk2_texts.count("")
+    if not set(outcome_texts) <= {"0", "1"}:  # other outcomes code as 2, a fault
+        outcome_texts = [t if t in ("0", "1") else "2" for t in outcome_texts]
     outcome = np.frombuffer("".join(outcome_texts).encode("ascii"), dtype=np.uint8) - ord("0")
+    risk1 = _floats(risk1_texts)
+    risk2 = None
+    if blank < len(linenos):  # a blank risk2 passes its record's checks
+        risk2 = _floats([t or "0" for t in risk2_texts] if blank else risk2_texts)
+    faults = _faults(risk1, risk2, outcome)
+    _raise_first(faults, "record", lambda i: _check_record(path, linenos, columns, i))
+    if blank and risk2 is not None:
+        raise ParseError(f"{path}: risk2 must be present on all rows or none")
     return IndividualRecords(risk1=risk1, risk2=risk2, outcome=outcome)
 
 
@@ -392,12 +389,14 @@ def _bin_ids(
     if k < 2:
         raise ParameterOutOfRange(f"quantile bin count {k} must be at least 2")
     n = len(risks)
-    # A cut is the last risk of a bin in sorted order; a record's bin counts the cuts
-    # below its risk, so a tie run straddling a cut falls in the lower bin.
-    at = [n * j // k - 1 for j in range(1, k)]
-    ids = np.searchsorted(np.partition(risks, at)[at], risks, side="left")
-    filled = np.bincount(ids, minlength=k) > 0
-    distinct = k if filled.all() else len(np.unique(risks))  # k filled bins hold k distinct risks
+    if k <= n:  # more bins than records are refused before k - 1 cuts are made
+        # A cut is the last risk of a bin in sorted order; a record's bin counts the cuts
+        # below its risk, so a tie run straddling a cut falls in the lower bin.
+        at = [n * j // k - 1 for j in range(1, k)]
+        ids = np.searchsorted(np.partition(risks, at)[at], risks, side="left")
+        filled = np.bincount(ids, minlength=k) > 0
+    # k filled bins hold k distinct risks
+    distinct = k if k <= n and filled.all() else len(np.unique(risks))
     if distinct < k:
         raise DegenerateBins(f"{distinct} distinct risks cannot fill {k} bins")
     width = len(str(k))

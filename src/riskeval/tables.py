@@ -66,6 +66,14 @@ def _first(mask: np.ndarray) -> int:
     return int(hits[0]) if len(hits) else len(mask)
 
 
+def _raise_first(mask: np.ndarray, name: str, check) -> None:
+    """check(i), the own check of the first entry i that mask flags, must raise."""
+    i = _first(mask)
+    if i < len(mask):
+        check(i)
+        raise InternalInvariantError(f"{name} {i} failed a column check but passes its own")
+
+
 def _outside_unit(x: np.ndarray) -> np.ndarray:
     """True where x is not a number in [0, 1] (NaN included)."""
     return ~((x >= 0.0) & (x <= 1.0))
@@ -223,9 +231,7 @@ def _build(entries, risk_names, empty_message):
             f"group {key!r} carries conflicting assigned risks "
             f"{tuple(float(r[j]) for r in risks)!r} and {tuple(float(r[i]) for r in risks)!r}"
         )
-    if stop < len(mass):
-        _check_entry(entries, stop, risk_names)
-        raise InternalInvariantError(f"entry {stop} failed a column check but passes its own")
+    _raise_first(bad, "entry", lambda i: _check_entry(entries, i, risk_names))
     if not len(rows):
         raise EmptyInput(empty_message)
     total, prevalence = _merge(codes, mass[rows], prev[rows])

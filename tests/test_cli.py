@@ -181,6 +181,16 @@ class TestEval:
         assert main(["eval", str(src), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"error: {src}:3: risk2 1.5 outside [0, 1]\n"
 
+    def test_more_bins_than_records_exits_2(self, tmp_path, capsys):
+        # Refused before any per-bin work, so a bin count far beyond memory
+        # still exits 2 at once.
+        src = tmp_path / "few.csv"
+        src.write_text("risk1,risk2,outcome\n0.1,,0\n0.3,,1\n0.3,,0\n")
+        argv = ["eval", str(src), "--out", str(tmp_path / "out"), "--bins", f"quantiles:{10**18}"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: 2 distinct risks cannot fill {10**18} bins\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_bins_flag(self, tmp_path, capsys):
         src = tmp_path / "b1.csv"
         src.write_text(MODEL1_B_CSV)

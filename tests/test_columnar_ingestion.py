@@ -90,8 +90,10 @@ class TestBinningParity:
 
 
 class TestRecordMemory:
-    def test_load_and_bin_100k_records_stay_small(self, tmp_path):
-        path = _records_file(tmp_path / "big.csv", 100_000, 11)
+    # A filled risk2 column takes numpy's reader, a blank one csv.reader.
+    @pytest.mark.parametrize("risk2", [True, False])
+    def test_load_and_bin_100k_records_stay_small(self, tmp_path, risk2):
+        path = _records_file(tmp_path / "big.csv", 100_000, 11, risk2=risk2)
         tracemalloc.start()
         try:
             records = load_individuals(path)
@@ -100,8 +102,25 @@ class TestRecordMemory:
         finally:
             tracemalloc.stop()
         assert len(records) == 100_000
-        assert len(grouped.groups) == 10 and joint is not None
+        assert len(grouped.groups) == 10 and (joint is not None) == risk2
         assert peak < 32 * 2**20
+
+    def test_more_bins_than_records_fail_before_cutting(self):
+        records = IndividualRecords.from_records(
+            [IndividualRecord(0.1, None, 0), IndividualRecord(0.2, None, 1),
+             IndividualRecord(0.2, None, 0)]
+        )
+        # A warm-up call: the first np.unique of a process imports modules.
+        with pytest.raises(DegenerateBins):
+            bin_individuals(records, scheme="quantiles", k=4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DegenerateBins, match="^2 distinct risks cannot fill 1000000 bins$"):
+                bin_individuals(records, scheme="quantiles", k=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 # Field tokens that exercise stripping, quoting, Python-only float syntax and
@@ -221,6 +240,12 @@ def test_columnar_loaders_match_row_loaders(kind, tmp_path_factory):
         "0.1,0.2,0\n\n0.5,{huge},1\n0.3,0.4\n",  # the csv error stops the read
         "\n \n , , \n",
         "0.1,0.2,0\n0.3,0.4,1,\n",
+        "0.1,0.2,2\n0.3,x,1\n",  # an earlier row's outcome before a later row's parse
+        "0.1,,0\n0.3,0.4,1\nx,,1\n",  # a parse fault before the partly blank risk2
+        "0.1,,0\n0.3,0.4,1\n",  # risk2 on some rows only, after every row passes
+        "0.1,0.2,0\nnan,0.4,1\n",  # nan parses, then fails the range check
+        "0.1,0.2,0\n0.3,nan,1\n",
+        "0.1,0.2,0\n0.3,0.4,1\x00\n",  # the NUL is kept: not the outcome 1
     ],
 )
 def test_reader_error_order_matches_row_loader(tmp_path, body):
