@@ -15,6 +15,7 @@ from .comparison import (
     ComparisonReport,
     SubgroupGain,
     SubgroupGainReport,
+    SubgroupGainTable,
     compare,
     cross_classified_bias,
     subgroup_precision_gain,

@@ -23,14 +23,15 @@ CSV text fields holding a comma, a double quote or a line break are quoted.
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .comparison import (
     MEAN_MATCH_RTOL,
-    ComparisonReport,
     SubgroupGain,
     compare,
     cross_classified_bias,
@@ -70,8 +71,9 @@ from .synthetic import (
 from .tables import format_label, perfect_model_table
 
 METRIC_FIELDS = tuple(f.name for f in fields(MetricsReport))
-COMPARISON_FIELDS = tuple(f.name for f in fields(ComparisonReport))
 SUBGROUP_FIELDS = tuple(f.name for f in fields(SubgroupGain) if f.name != "key")
+# Table columns of fractions, which get percent twins; keys, model names and alpha do not.
+_PCT_COLUMNS = {*METRIC_FIELDS, *SUBGROUP_FIELDS}
 
 
 def percent_round(x: float) -> float:
@@ -79,16 +81,9 @@ def percent_round(x: float) -> float:
     return float((Decimal(repr(float(x))) * 100).quantize(Decimal("0.1"), ROUND_HALF_EVEN))
 
 
-def round12(x: float) -> float:
-    return float(format_label(x))
-
-
-def _with_percent(pairs, percent: bool):
-    """(name, value) pairs plus *_pct twins when percent view is on."""
-    out = list(pairs)
-    if percent:
-        out += [(f"{name}_pct", percent_round(value)) for name, value in pairs]
-    return out
+def round12(x):
+    """A float rounded to 12 significant digits, which keeps its CSV text; others as they are."""
+    return float(format_label(x)) if isinstance(x, float) else x
 
 
 class Writer:
@@ -107,32 +102,32 @@ class Writer:
         """A CSV file of columns, formatted block by block as the file is written."""
         self.pending.append((self.out_dir / name, partial(csv_chunks, header, columns=columns)))
 
-    def add_report(self, name: str, kind: str, payload_pairs, rows=None) -> None:
+    def add_report(self, name: str, kind: str, pairs, header=(), columns=()) -> None:
         """One report in the configured format.
 
-        payload_pairs are scalar (name, value) entries; rows, when given, is
-        (row_field_names, list of row dicts) for tabular reports.
+        pairs are scalar (name, value) entries. A tabular report also names
+        its columns in header and gives one column per name (float arrays,
+        key columns or other numpy arrays), one entry per row. The percent
+        view adds a twin after the pairs for each pair, and after the
+        columns for each column of fractions.
         """
-        pairs = _with_percent(payload_pairs, self.percent)
-        columns, row_dicts = rows or ((), ())
-        pct_fields = [f for f in columns if f in _PCT_COLUMNS] if self.percent else []
-        header = [*columns, *(f"{f}_pct" for f in pct_fields)]
-        # Both formats take the rounded rows: round12 keeps a float's 12-digit CSV text.
-        table = [
-            [round12(row[f]) if isinstance(row[f], float) else row[f] for f in columns]
-            + [percent_round(row[f]) for f in pct_fields]
-            for row in row_dicts
-        ]
+        if self.percent:
+            pairs = [*pairs, *((f"{k}_pct", percent_round(v)) for k, v in pairs)]
+            twins = [(f, c) for f, c in zip(header, columns) if f in _PCT_COLUMNS]
+            header = [*header, *(f"{f}_pct" for f, _ in twins)]
+            columns = [*columns, *(np.array([*map(percent_round, c.tolist())]) for _, c in twins)]
         if self.out_format == "json":
-            payload = {"schema_version": 1, "kind": kind}
-            payload.update((k, round12(v) if isinstance(v, float) else v) for k, v in pairs)
-            if rows is not None:
-                payload["rows"] = [dict(zip(header, values)) for values in table]
+            # round12 keeps each float's 12-digit CSV text, and a percent value as it is.
+            payload = {"schema_version": 1, "kind": kind, **{k: round12(v) for k, v in pairs}}
+            if header:
+                rows = zip(*([*map(round12, c.tolist())] for c in columns))
+                payload["rows"] = [dict(zip(header, row)) for row in rows]
             self.add_text(f"{name}.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
             return
-        sections = [format_csv(header, table)] if rows is not None else []
+        sections = [format_csv(header, columns=columns)] if header else []
         if pairs:
-            sections.append(format_csv(("metric", "value"), pairs))
+            names, values = zip(*pairs)
+            sections.append(format_csv(("metric", "value"), columns=(names, np.array(values))))
         self.add_text(f"{name}.csv", "\n".join(sections))
 
     def flush(self) -> list[Path]:
@@ -145,26 +140,15 @@ class Writer:
         return written
 
 
-# Report fields that carry a fraction and so get a percent twin; keys,
-# labels, and the alpha parameter do not.
-_PCT_COLUMNS = (
-    set(METRIC_FIELDS) | set(COMPARISON_FIELDS) | set(SUBGROUP_FIELDS) | {"total_gain"}
-)
-
-
 def _report_pairs(report):
     """(field name, value) pairs of a report dataclass, in field order."""
     return [(f.name, getattr(report, f.name)) for f in fields(report)]
 
 
 def _add_gain_report(writer: Writer, name: str, gain) -> None:
-    rows = [{"group": r.key, **{f: getattr(r, f) for f in SUBGROUP_FIELDS}} for r in gain.rows]
-    writer.add_report(
-        name,
-        "subgroup_gain",
-        [("population_mean", gain.population_mean), ("total_gain", gain.total_gain)],
-        rows=(("group",) + SUBGROUP_FIELDS, rows),
-    )
+    pairs = [("population_mean", gain.population_mean), ("total_gain", gain.total_gain)]
+    header = ("group", *SUBGROUP_FIELDS)
+    writer.add_report(name, "subgroup_gain", pairs, header, gain.rows.columns())
 
 
 def _attributes_csv(table) -> str:
@@ -187,9 +171,12 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
         alphas = tuple(float(a) for a in text.split(","))
     except ValueError:
         raise ParameterOutOfRange(f"cannot parse --alpha {text!r}") from None
-    for a in alphas:
+    labels = [format_label(a) for a in alphas]
+    for a, label in zip(alphas, labels):
         if not 0.0 <= a <= 1.0:
             raise ParameterOutOfRange(f"alpha {a} outside [0, 1]")
+        if labels.count(label) > 1:  # its files would be named twice
+            raise ParameterOutOfRange(f"--alpha {text!r} repeats {label}")
     return alphas
 
 
@@ -229,21 +216,20 @@ def cmd_synth(args: argparse.Namespace) -> int:
     writer = Writer(Path(args.out), args.format, args.percent)
     populations = {a: build_population(a) for a in alphas}
     tables = {}  # (alpha, subset) -> grouped table
-    matrix_rows = []
-    matrix_fields = ("alpha", "model") + METRIC_FIELDS
+    matrix_rows = []  # (alpha, model name, *metrics)
     for alpha, pop in populations.items():
         alabel = format_label(alpha)
         dist = risk_distribution(pop)
         writer.add_text(
-            f"risk_distribution_alpha{alabel}.csv", format_csv(("risk", "mass"), dist.points)
+            f"risk_distribution_alpha{alabel}.csv",
+            format_csv(("risk", "mass"), columns=np.array(dist.points).T),
         )
         models = [(_subset_label(s), project_model(pop, s)) for s in subsets]
         models.append(("perfect", perfect_model_table(dist)))
         for name, table in models:
             if name != "perfect":
                 writer.add_text(f"model_alpha{alabel}_{name}.csv", grouped_csv(table))
-            report = evaluate(table)
-            matrix_rows.append({"alpha": alpha, "model": name, **dict(_report_pairs(report))})
+            matrix_rows.append((alpha, name, *astuple(evaluate(table))))
         for subset in subsets:
             tables[(alpha, subset)] = dict(models)[_subset_label(subset)]
         if len(subsets) >= 2:
@@ -266,7 +252,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
             )
     else:
         print("note: transfer tables need two alpha values; skipped")
-    writer.add_report("metrics_matrix", "metrics_matrix", [], rows=(matrix_fields, matrix_rows))
+    matrix = [np.array(column) for column in zip(*matrix_rows)]
+    header = ("alpha", "model") + METRIC_FIELDS
+    writer.add_report("metrics_matrix", "metrics_matrix", [], header, matrix)
     for path in writer.flush():
         print(f"wrote {path}")
     return 0

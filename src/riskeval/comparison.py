@@ -110,13 +110,31 @@ class CellBias:
     bias2: float
 
 
-@dataclass(frozen=True, eq=False)
-class CellBiasTable(Sequence):
-    """Per-cell biases of a joint table, one column per CellBias field.
+class _RowColumns(Sequence):
+    """A read-only sequence of _row rows, held by a frozen dataclass with one
+    column per row field, mass among them. Rows, and key arrays of str, are
+    built on access; equality is identity."""
 
-    A read-only sequence of CellBias rows, in the joint table's cell order;
-    rows, and the key1 and key2 arrays of str, are built on access.
-    """
+    def columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.mass)
+
+    def __iter__(self):
+        return map(self._row, *(col.tolist() for col in self.columns()))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        # A one-entry slice gives Python values through tolist.
+        return self._row(*(col[i : i + 1 or None].tolist()[0] for col in self.columns()))
+
+
+@dataclass(frozen=True, eq=False)
+class CellBiasTable(_RowColumns):
+    """Per-cell biases of a joint table, one column per CellBias field, in
+    the joint table's cell order."""
 
     key1_column: KeyColumn
     key2_column: KeyColumn
@@ -128,21 +146,7 @@ class CellBiasTable(Sequence):
     bias2: np.ndarray
     key1 = property(lambda self: self.key1_column.array())
     key2 = property(lambda self: self.key2_column.array())
-
-    def columns(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
-
-    def __len__(self) -> int:
-        return len(self.mass)
-
-    def __iter__(self):
-        return map(CellBias, *(col.tolist() for col in self.columns()))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        # A one-entry slice gives Python values through tolist.
-        return CellBias(*(col[i : i + 1 or None].tolist()[0] for col in self.columns()))
+    _row = CellBias
 
 
 def _assigned(risks: Mapping[str, float] | GroupedModelTable, keys: KeyColumn) -> np.ndarray:
@@ -199,12 +203,29 @@ class SubgroupGain:
     sd: float
 
 
+@dataclass(frozen=True, eq=False)
+class SubgroupGainTable(_RowColumns):
+    """Prevalence spread of model-1 groups, one column per SubgroupGain
+    field, with groups sorted by (risk, key)."""
+
+    key_column: KeyColumn
+    risk: np.ndarray
+    mass: np.ndarray
+    prevalence_low: np.ndarray
+    prevalence_high: np.ndarray
+    variance: np.ndarray
+    sd: np.ndarray
+    key = property(lambda self: self.key_column.array())
+    _row = SubgroupGain
+
+
 @dataclass(frozen=True)
 class SubgroupGainReport:
-    """Where model 2 refines model 1, and by how much in Brier precision."""
+    """Where model 2 refines model 1, and by how much in Brier precision;
+    rows holds one SubgroupGain per model-1 group (a SubgroupGainTable)."""
 
     population_mean: float
-    rows: tuple[SubgroupGain, ...]
+    rows: Sequence[SubgroupGain]
     total_gain: float
 
 
@@ -212,42 +233,35 @@ def subgroup_precision_gain(joint: JointModelTable) -> SubgroupGainReport:
     """Within-group prevalence spread of the cross-classification.
 
     Each row summarizes one model-1 group: the range and variance of the
-    cross-classified prevalences inside it. The mass-weighted sum of the
-    within-group variances is the total Brier precision gained by refining
-    model 1 with the cross-classification.
+    cross-classified prevalences inside it, with the risk of its first cell.
+    The mass-weighted sum of the within-group variances is the total Brier
+    precision gained by refining model 1 with the cross-classification.
+    Group sums are exact (math.fsum); of equal extremes, such as 0.0 and
+    -0.0, the first in cell order is reported.
     """
     keys = joint.key1_column
     # Cells grouped by model-1 key, in cell order within each group.
     order = np.argsort(keys.codes, kind="stable")
     sizes = np.bincount(keys.codes)
     sizes = sizes[sizes > 0]  # the vocabulary may hold labels of no cell
-    ends = np.cumsum(sizes)
-    spans = list(zip((ends - sizes).tolist(), ends.tolist()))
+    starts = np.cumsum(sizes) - sizes
+    spans = list(map(slice, starts.tolist(), (starts + sizes).tolist()))
     m, p = joint.mass[order], joint.prevalence[order]
 
-    def group_sums(x):
+    def per_group(reduce, x):
         values = x.tolist()
-        return np.array([math.fsum(values[a:b]) for a, b in spans])
+        return np.array([reduce(values[span]) for span in spans])
 
-    mass = group_sums(m)
-    mean = group_sums(m * p) / mass
-    var = (group_sums(m * _squares(p - np.repeat(mean, sizes))) / mass).tolist()
-    heads = order[ends - sizes]  # each group's first cell
-    mass, risk, prev = mass.tolist(), joint.risk1[heads].tolist(), p.tolist()
-    rows = [
-        SubgroupGain(
-            key=key,
-            risk=risk[g],
-            mass=mass[g],
-            prevalence_low=min(prev[a:b]),
-            prevalence_high=max(prev[a:b]),
-            variance=var[g],
-            sd=math.sqrt(var[g]),
-        )
-        for g, (key, (a, b)) in enumerate(zip(keys[heads].tolist(), spans))
-    ]
-    rows.sort(key=lambda r: (r.risk, r.key))
-    total = math.fsum(r.mass * r.variance for r in rows)
+    mass = per_group(math.fsum, m)
+    mean = per_group(math.fsum, m * p) / mass
+    var = per_group(math.fsum, m * _squares(p - np.repeat(mean, sizes))) / mass
+    heads = order[starts]  # each group's first cell
+    risk = joint.risk1[heads]
+    rank = np.lexsort((keys.codes[heads], risk))
+    low, high = per_group(min, p), per_group(max, p)
+    columns = [x[rank] for x in (risk, mass, low, high, var, np.sqrt(var))]
     return SubgroupGainReport(
-        population_mean=joint.population_mean, rows=tuple(rows), total_gain=total
+        population_mean=joint.population_mean,
+        rows=SubgroupGainTable(keys[heads[rank]], *columns),
+        total_gain=math.fsum((mass * var).tolist()),
     )

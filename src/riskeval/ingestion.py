@@ -648,27 +648,23 @@ def _lines(columns) -> str:
     return block.tobytes().translate(None, bytes([_PAD])).decode("utf-8")
 
 
-def csv_chunks(header, rows=(), *, columns=()):
+def csv_chunks(header, *, columns):
     """The text of format_csv in pieces: the header line, then blocks of lines."""
     yield ",".join(header) + "\n"
     n = min(map(len, columns), default=0)
     for start in range(0, n, _BLOCK_ROWS):
         yield _lines([column[start : min(n, start + _BLOCK_ROWS)] for column in columns])
-    for row in rows:
-        fields = [format(v, ".12g") if isinstance(v, float) else _csv_text(v) for v in row]
-        yield ",".join(fields) + "\n"
 
 
-def format_csv(header, rows=(), *, columns=()) -> str:
-    """CSV text: the header line, then one line per row of values.
+def format_csv(header, *, columns) -> str:
+    """CSV text: the header line, then one line per entry of the columns.
 
-    The values come as rows, or as columns (float arrays, key columns and
-    text sequences) with one line per entry. Floats are written as
-    format(x, ".12g") does, float arrays by one exact vectorized formatter
-    with a per-value fallback; text holding a comma, a double quote or a
-    line break is quoted.
+    columns are float arrays, key columns and text sequences (any other
+    value is written as str() gives it). Floats are written as format(x,
+    ".12g") does, by one exact vectorized formatter with a per-value
+    fallback; text holding a comma, a double quote or a line break is quoted.
     """
-    return "".join(csv_chunks(header, rows, columns=columns))
+    return "".join(csv_chunks(header, columns=columns))
 
 
 def grouped_csv(table: GroupedModelTable) -> str:

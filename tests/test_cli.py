@@ -417,6 +417,14 @@ class TestSynth:
         assert main(["synth", "--models", "z0,z0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("alphas", ["0.2,0.2", "0.2,0.20", "0.8,0.2,0.2000000000001"])
+    def test_repeated_alpha_exits_2(self, alphas, tmp_path, capsys):
+        # Equal 12-digit labels would name one population's files twice.
+        out = tmp_path / "out"
+        assert main(["synth", "--alpha", alphas, "--out", str(out)]) == 2
+        assert f"--alpha {alphas!r} repeats 0.2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert main(["synth", "--out", str(out1), "--format", "json"]) == 0

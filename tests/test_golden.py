@@ -80,7 +80,7 @@ def _no_prevalence_csv(path):
     return path
 
 
-def _nested_joint_csv(path):
+def _nested_joint_csv(path, swapped=False):
     """A nested joint table of 3000 rows, built by modular arithmetic.
 
     Model 2 has about 2900 risks on a 1e-5 grid, and model 1 assigns each
@@ -88,7 +88,9 @@ def _nested_joint_csv(path):
     model 1. Every 40th row repeats an earlier cell, once with its risk2
     differing below 12 significant digits; a few rows have zero mass. The
     risks `-0` and `0` are distinct keys at tied risk in both models, and
-    one cell that occurs once has prevalence `-0`.
+    one cell that occurs once has prevalence `-0`. swapped writes model 2's
+    risks in the `r1` column and model 1's in `r2`, so the fine model is
+    model 1, with mostly one-cell groups.
     """
     n = 3000
     cells = []  # (r1 text, r2 text, weight, prevalence text)
@@ -113,6 +115,8 @@ def _nested_joint_csv(path):
     cells[9] = ("0.5", "0.5", 0, "0.5")
     total = sum(w for _, _, w, _ in cells)
     lines = ["r1,r2,mass,prevalence"]
+    if swapped:
+        cells = [(r2, r1, w, p) for r1, r2, w, p in cells]
     lines += [f"{r1},{r2},{format(w / total, '.12g')},{p}" for r1, r2, w, p in cells]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
@@ -164,6 +168,13 @@ SCENARIOS = {
     "compare_nested_joint_json_percent": lambda t: [
         "compare", str(_nested_joint_csv(t / "nj.csv")), "--format", "json", "--percent"
     ],
+    "compare_nested_swapped_csv": lambda t: [
+        "compare", str(_nested_joint_csv(t / "ns.csv", swapped=True))
+    ],
+    "compare_nested_swapped_json_percent": lambda t: [
+        "compare", str(_nested_joint_csv(t / "ns.csv", swapped=True)), "--format", "json",
+        "--percent",
+    ],
     "compare_grouped_pair_joint": lambda t: ["compare", *map(str, _model_files(t))],
     "compare_edge_digits_csv": lambda t: ["compare", str(_edge_digits_joint_csv(t / "edge.csv"))],
     "compare_edge_digits_json_percent": lambda t: [
@@ -212,7 +223,8 @@ def run_scenario(name, tmp_path, capsys):
 # columnar record reader replaced the per-row one. The two compare_nested_joint
 # scenarios were recorded before columnar tables replaced the row builder. The
 # three edge_digits scenarios were recorded before the vectorized 12-digit
-# float formatter replaced per-value `format`.
+# float formatter replaced per-value `format`. The two compare_nested_swapped
+# scenarios were recorded before the subgroup-gain report became columnar.
 GOLDEN = {
     "compare_edge_digits_csv": (
         0,
@@ -266,6 +278,24 @@ GOLDEN = {
             "cell_bias.csv": "0f37317620889b071d30f79885bf0f723ff12200c77a85f1fe3e0e5d028648fc",
             "comparison.json": "a3a3a65b8ef3cf46059de573f5a31fe687f9c6a3a90b9f80cf2b456202ca78b3",
             "subgroup_gain.json": "b95ba8f82dbeff451b379e73b3727cd684940549e33648911a3418dbcd1edb14",
+        },
+    ),
+    "compare_nested_swapped_csv": (
+        0,
+        "5029ac139695f1618c5d93a1bbdec63709ec844b31235af0e0f1844c0cd45840",
+        {
+            "cell_bias.csv": "2a3a84d0738859ebd37933e7380cef5046fce2657c36c9853e82729929f420ba",
+            "comparison.csv": "07919dfe356a38c21bf7f455b131ece62a7889cdd7d1a73b741f8223c71329f0",
+            "subgroup_gain.csv": "b8f0e889ce513791df939a66b2a6baa5060a36799ebac9a9f5adbcbd18fcaa56",
+        },
+    ),
+    "compare_nested_swapped_json_percent": (
+        0,
+        "599a6fe048333452f58d7752fd5dee39b6b2b4aaf3625787ce4e91addaa3238e",
+        {
+            "cell_bias.csv": "2a3a84d0738859ebd37933e7380cef5046fce2657c36c9853e82729929f420ba",
+            "comparison.json": "828297b6b678255d56e2652e5ded7bc1ea8c50ec8b8188f65c171855d93a6281",
+            "subgroup_gain.json": "a5fb9fa707ab12a74e091853a40a58e008ab6dff4a9edac64cc06a7933d69ee2",
         },
     ),
     "compare_xdec_csv": (

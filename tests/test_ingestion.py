@@ -511,5 +511,6 @@ class TestSparsePairBinning:
 
 class TestFormatCsv:
     def test_floats_and_quoting(self):
-        text = format_csv(("key", "value"), [("a,b", 0.1 + 0.2), ('say "hi"', 1.0), ("plain", 2)])
+        columns = (["a,b", 'say "hi"', "plain"], np.array([0.1 + 0.2, 1.0, 2.0]))
+        text = format_csv(("key", "value"), columns=columns)
         assert text == 'key,value\n"a,b",0.3\n"say ""hi""",1\nplain,2\n'
