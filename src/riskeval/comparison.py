@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .distributions import _check_unit_interval
+from .distributions import _check_unit_interval, _exact_sum, _exact_sums
 from .errors import (
     GroupKeyMismatch,
     InternalInvariantError,
@@ -236,7 +236,7 @@ def subgroup_precision_gain(joint: JointModelTable) -> SubgroupGainReport:
     cross-classified prevalences inside it, with the risk of its first cell.
     The mass-weighted sum of the within-group variances is the total Brier
     precision gained by refining model 1 with the cross-classification.
-    Group sums are exact (math.fsum); of equal extremes, such as 0.0 and
+    Group sums equal math.fsum's bits; of equal extremes, such as 0.0 and
     -0.0, the first in cell order is reported.
     """
     keys = joint.key1_column
@@ -245,23 +245,32 @@ def subgroup_precision_gain(joint: JointModelTable) -> SubgroupGainReport:
     sizes = np.bincount(keys.codes)
     sizes = sizes[sizes > 0]  # the vocabulary may hold labels of no cell
     starts = np.cumsum(sizes) - sizes
-    spans = list(map(slice, starts.tolist(), (starts + sizes).tolist()))
     m, p = joint.mass[order], joint.prevalence[order]
-
-    def per_group(reduce, x):
-        values = x.tolist()
-        return np.array([reduce(values[span]) for span in spans])
-
-    mass = per_group(math.fsum, m)
-    mean = per_group(math.fsum, m * p) / mass
-    var = per_group(math.fsum, m * _squares(p - np.repeat(mean, sizes))) / mass
+    mass = _exact_sums(m, sizes)
+    mean = _exact_sums(m * p, sizes) / mass
+    var = _exact_sums(m * _squares(p - np.repeat(mean, sizes)), sizes) / mass
     heads = order[starts]  # each group's first cell
     risk = joint.risk1[heads]
     rank = np.lexsort((keys.codes[heads], risk))
-    low, high = per_group(min, p), per_group(max, p)
+    low, high = _first_extreme(np.minimum, p, starts), _first_extreme(np.maximum, p, starts)
     columns = [x[rank] for x in (risk, mass, low, high, var, np.sqrt(var))]
     return SubgroupGainReport(
         population_mean=joint.population_mean,
         rows=SubgroupGainTable(keys[heads[rank]], *columns),
-        total_gain=math.fsum((mass * var).tolist()),
+        total_gain=_exact_sum(mass * var),
     )
+
+
+def _first_extreme(extreme, p: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Python's min or max (extreme is np.minimum or np.maximum) of each
+    segment of prevalences p: of equal extremes, the first in order.
+
+    In [0, 1] only 0.0 and -0.0 are equal with other bits, so a segment whose
+    extreme is zero takes its first zero.
+    """
+    out = extreme.reduceat(p, starts)
+    at = np.flatnonzero(out == 0.0)
+    if len(at):
+        zeros = np.flatnonzero(p == 0.0)
+        out[at] = p[zeros[np.searchsorted(zeros, starts[at])]]
+    return out

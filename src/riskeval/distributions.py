@@ -3,15 +3,81 @@
 A risk distribution assigns probability mass to a finite set of risk values in
 [0, 1]. Its mean is the population outcome rate; its variance measures risk
 heterogeneity and is bounded above by mean*(1 - mean).
+
+The package's exact sums live here too: `_exact_sum` and `_exact_sums` give
+math.fsum's bits for a whole array or for each of its contiguous segments.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyInput, MassSumOutOfTolerance, NonFiniteValue, RiskOutOfRange
 
 MASS_SUM_TOL = 1e-9
 RISK_MERGE_TOL = 1e-12
+
+# Fewer terms than this are summed by math.fsum over a list, which is cheaper
+# than the array passes below.
+_EXACT_CUTOFF = 1024
+_EXACT_PASSES = 8
+# Beyond these magnitudes a segment is summed by math.fsum: its passes could
+# overflow (fsum's OverflowError is kept) or lose bits to underflow.
+_EXACT_HUGE, _EXACT_TINY = 2.0**900, 2.0**-900
+
+
+def _exact_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """math.fsum of each contiguous segment of x, sizes[j] terms (at least 1) each.
+
+    Error-free extraction (Rump, Ogita & Oishi, "Accurate floating-point
+    summation part I", SIAM J. Sci. Comput. 31(1), 2008): with max|r| < 2**e
+    over a segment of n terms and 2**k >= n + 2, sigma = 2**(e + k) splits
+    each r into q = (sigma + r) - sigma and r - q, both exact, and every
+    partial sum of the q is exact, so numpy may add them in any order. The
+    remainders are split again until they are all zero; fsum of the few exact
+    parts is then fsum of the terms (+0.0 for an exact zero), and when at most
+    two parts are nonzero one addition rounds their sum as fsum does.
+    Segments holding a non-finite value, a magnitude beyond the _EXACT_HUGE
+    and _EXACT_TINY bounds, or a remainder left after _EXACT_PASSES passes,
+    and every segment of a short x, are summed by math.fsum itself.
+    """
+    starts = np.cumsum(sizes) - sizes
+    slow = np.full(len(sizes), len(x) < _EXACT_CUTOFF)
+    _, k = np.frexp(sizes + 1.0)  # the least k with 2**k > n + 1
+    parts, r = [], x
+    for _ in range(_EXACT_PASSES):
+        if slow.all():
+            break
+        top = np.maximum.reduceat(np.abs(r), starts)  # NaN where a NaN is
+        fall = ~slow & ~((top < _EXACT_HUGE) & ((top > _EXACT_TINY) | (top == 0.0)))
+        if fall.any():
+            slow |= fall
+            r = np.where(np.repeat(slow, sizes), 0.0, r)
+        top[slow] = 0.0
+        if not top.any():
+            break
+        sigma = np.repeat(np.ldexp(1.0, np.frexp(top)[1] + k), sizes)
+        q = (sigma + r) - sigma
+        parts.append(np.add.reduceat(q, starts))
+        r = r - q
+    else:
+        slow |= np.maximum.reduceat(np.abs(r), starts) > 0.0
+    parts = np.array(parts).reshape(-1, len(sizes))
+    sums = parts.sum(axis=0)
+    for j in np.flatnonzero(np.count_nonzero(parts, axis=0) > 2):
+        sums[j] = math.fsum(parts[:, j].tolist())
+    for j in np.flatnonzero(slow).tolist():
+        sums[j] = math.fsum(x[starts[j] : starts[j] + sizes[j]].tolist())
+    return sums
+
+
+def _exact_sum(values) -> float:
+    """math.fsum(values), bit for bit; values is a float64 array or any iterable."""
+    x = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
+    if len(x) < _EXACT_CUTOFF:
+        return math.fsum(x.tolist())
+    return float(_exact_sums(x, np.array([len(x)]))[0])
 
 
 def _check_unit_interval(name: str, x: float) -> float:
@@ -33,9 +99,9 @@ def _check_mass(f: float) -> float:
 
 
 def _nonnegative_sum(values) -> float:
-    """math.fsum of nonnegative values; inf when the sum exceeds the float range."""
+    """Exact sum of nonnegative values; inf when it exceeds the float range."""
     try:
-        return math.fsum(values)
+        return _exact_sum(values)
     except OverflowError:  # raised for an intermediate sum of finite values
         return math.inf
 
@@ -89,7 +155,7 @@ class RiskDistribution:
 
     def variance(self) -> float:
         m = self.mean()
-        return math.fsum(f * (p - m) ** 2 for p, f in self.points)
+        return math.fsum(f * ((p - m) * (p - m)) for p, f in self.points)
 
 
 def make_distribution(points) -> RiskDistribution:

@@ -595,8 +595,9 @@ def _float_fields(values) -> np.ndarray:
     y = |v| * 10**(11 - floor(log10|v|)) is one correctly rounded multiply or
     divide by an exact power of ten; rounding is monotonic and half-integers
     below 2**52 are doubles, so where 1e11 <= y < 1e12 and y is no half-integer,
-    rint(y) is the significand format prints (1e12 carries). Other values (0,
-    subnormals, inf, nan, |v| outside [1e-11, 1e34), ties) go to format.
+    rint(y) is the significand format prints (1e12 carries). Zeros are 0 or
+    -0; other values (subnormals, inf, nan, |v| outside [1e-11, 1e34), ties)
+    go to format.
     """
     quads, powers, templates = _digit_tables()
     x = np.asarray(values, dtype=np.float64)
@@ -607,7 +608,7 @@ def _float_fields(values) -> np.ndarray:
     d = np.rint(y)
     exact = (y >= 1e11) & (y < 1e12) & (np.abs(y - d) != 0.5)
     e += d == 1e12
-    d = np.where(exact & (d < 1e12), d, 1e11).astype(np.int64)
+    d = np.where(exact & (d < 1e12), d, 1e11).astype(np.int64)  # a zero: e = 0, one digit
     digits = np.take(quads, np.stack([d // 10**8, d // 10**4 % 10**4, d % 10**4], axis=1))
     digits = digits.view(np.uint8)
     nd = 12 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # significant digits
@@ -615,8 +616,11 @@ def _float_fields(values) -> np.ndarray:
     fields = np.take(templates, (e + 11) * 13 + keep, axis=0)
     fields[:, 0] = np.where(np.signbit(x), ord("-"), _PAD)
     fields[:, 6:29:2] |= digits
-    text = np.array([format(v, ".12g") for v in x[~exact].tolist()], "S33").view(np.uint8)
-    fields[~exact] = np.where(text == 0, _PAD, text).reshape(-1, 33)
+    zero = x == 0.0
+    fields[zero, 6] = ord("0")
+    rest = ~(exact | zero)
+    text = np.array([format(v, ".12g") for v in x[rest].tolist()], "S33").view(np.uint8)
+    fields[rest] = np.where(text == 0, _PAD, text).reshape(-1, 33)
     return fields
 
 

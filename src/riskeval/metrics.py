@@ -7,35 +7,27 @@ risk values themselves. Discrimination measures (correlation with outcome,
 integrated discrimination, concordance) likewise depend only on prevalences
 and masses, with concordance using the rank order of the assigned risks.
 
-Each measure is an array expression over the table's columns reduced by
-math.fsum. Squares use Python's float power, element by element: numpy's
-square can differ from it in the last bit, and the reports keep its bits.
+Each measure is an array expression over the table's columns reduced by an
+exact sum with math.fsum's bits. Squares are products x * x, which IEEE
+arithmetic rounds correctly; the C library's pow(x, 2.0), behind Python's
+x ** 2, need not.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RiskDistribution, make_distribution
+from .distributions import RiskDistribution, _exact_sum, make_distribution
 from .errors import DegenerateOutcome, InternalInvariantError
 from .tables import GroupedModelTable
 
 IDENTITY_TOL = 1e-12
 
 
-def _fsum(x: np.ndarray) -> float:
-    return math.fsum(x.tolist())
-
-
 def _squares(x: np.ndarray) -> np.ndarray:
-    """x ** 2 as Python computes it, element by element.
-
-    For finite x, Python's x ** 2 and math.pow(x, 2.0) both return the C
-    library's pow(x, 2.0).
-    """
-    return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), dtype=float, count=len(x))
+    """Each element squared, correctly rounded: x * x."""
+    return x * x
 
 
 def _require_nondegenerate(table: GroupedModelTable) -> float:
@@ -49,18 +41,18 @@ def _require_nondegenerate(table: GroupedModelTable) -> float:
 
 def calibration_bias_sq(table: GroupedModelTable) -> float:
     """Mass-weighted squared gap between assigned risk and group prevalence."""
-    return _fsum(table.mass * _squares(table.risk - table.prevalence))
+    return _exact_sum(table.mass * _squares(table.risk - table.prevalence))
 
 
 def prevalence_variance(table: GroupedModelTable) -> float:
     """Variance of group prevalences around the population mean."""
-    return _fsum(table.mass * _squares(table.prevalence - table.population_mean))
+    return _exact_sum(table.mass * _squares(table.prevalence - table.population_mean))
 
 
 def brier_score(table: GroupedModelTable) -> float:
     """Expected squared difference between assigned risk and binary outcome."""
     p = table.prevalence
-    return _fsum(table.mass * (p * (1.0 - p) + _squares(table.risk - p)))
+    return _exact_sum(table.mass * (p * (1.0 - p) + _squares(table.risk - p)))
 
 
 def precision_loss(table: GroupedModelTable) -> float:
@@ -109,8 +101,8 @@ def integrated_discrimination(table: GroupedModelTable) -> float:
     """
     pi = _require_nondegenerate(table)
     m, p = table.mass, table.prevalence
-    among_cases = _fsum(p * m * p / pi)
-    among_noncases = _fsum(p * m * (1.0 - p) / (1.0 - pi))
+    among_cases = _exact_sum(p * m * p / pi)
+    among_noncases = _exact_sum(p * m * (1.0 - p) / (1.0 - pi))
     return among_cases - among_noncases
 
 
@@ -130,7 +122,7 @@ def concordance(table: GroupedModelTable) -> float:
     h0 = np.bincount(block, weights=m * (1.0 - p) / (1.0 - pi))
     # Case mass in the blocks ranked above each block.
     above = np.concatenate(([0.0], np.cumsum(h1)[:-1]))
-    return _fsum(h0 * (0.5 * h1 + above))
+    return _exact_sum(h0 * (0.5 * h1 + above))
 
 
 def attributes_diagram(table: GroupedModelTable) -> list[tuple[float, float, float]]:
@@ -180,7 +172,8 @@ def evaluate(table: GroupedModelTable) -> MetricsReport:
         ),
         (
             "ro_correlation^2 = integrated_discrimination",
-            report.ro_correlation**2 - report.integrated_discrimination,
+            report.ro_correlation * report.ro_correlation
+            - report.integrated_discrimination,
         ),
     )
     for name, gap in checks:

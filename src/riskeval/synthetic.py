@@ -158,5 +158,5 @@ def closed_form_prevalence_oracle(alpha: float, z0: int, z1: int, z2: int | None
         return 0.1
     slope = 0.08 if z0 == 1 else -0.01
     if z2 is None:
-        return 0.1 + slope * (1.0 + alpha) ** 2 * 2**z1
+        return 0.1 + slope * ((1.0 + alpha) * (1.0 + alpha)) * 2**z1
     return 0.1 + slope * (1.0 + alpha) * 2 ** (z1 + z2)

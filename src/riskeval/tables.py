@@ -30,6 +30,7 @@ from .distributions import (
     _check_mass,
     _check_total_mass,
     _check_unit_interval,
+    _exact_sum,
 )
 from .errors import EmptyInput, InternalInvariantError, InvariantViolation
 
@@ -238,8 +239,8 @@ def _build(entries, risk_names, empty_message):
     heads = rows[first]  # a merged group keeps the risks of its first entry
     order = np.lexsort([k.codes[heads] for k in keys[::-1]] + [r[heads] for r in risks[::-1]])
     total, prevalence, heads = total[order], prevalence[order], heads[order]
-    _check_total_mass(total.tolist())
-    mean = math.fsum((total * prevalence).tolist())
+    _check_total_mass(total)
+    mean = _exact_sum(total * prevalence)
     return [k[heads] for k in keys], [r[heads] for r in risks], total, prevalence, mean
 
 

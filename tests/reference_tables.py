@@ -129,18 +129,23 @@ def _require_nondegenerate(table) -> float:
     return pi
 
 
+
+def _square(d: float) -> float:
+    """d * d: correctly rounded, as the library squares (Python's d ** 2 calls libm pow)."""
+    return d * d
+
 def calibration_bias_sq(table) -> float:
-    return math.fsum(g.mass * (g.risk - g.prevalence) ** 2 for g in table.groups)
+    return math.fsum(g.mass * _square(g.risk - g.prevalence) for g in table.groups)
 
 
 def prevalence_variance(table) -> float:
     pi = table.population_mean
-    return math.fsum(g.mass * (g.prevalence - pi) ** 2 for g in table.groups)
+    return math.fsum(g.mass * _square(g.prevalence - pi) for g in table.groups)
 
 
 def brier_score(table) -> float:
     return math.fsum(
-        g.mass * (g.prevalence * (1.0 - g.prevalence) + (g.risk - g.prevalence) ** 2)
+        g.mass * (g.prevalence * (1.0 - g.prevalence) + _square(g.risk - g.prevalence))
         for g in table.groups
     )
 
@@ -279,7 +284,7 @@ def subgroup_precision_gain(joint) -> SubgroupGainReport:
     for key, cells in by_group.items():
         mass = math.fsum(c.mass for c in cells)
         mean = math.fsum(c.mass * c.prevalence for c in cells) / mass
-        var = math.fsum(c.mass * (c.prevalence - mean) ** 2 for c in cells) / mass
+        var = math.fsum(c.mass * _square(c.prevalence - mean) for c in cells) / mass
         rows.append(
             SubgroupGain(
                 key=key,

@@ -119,7 +119,9 @@ def _columns(rng, n: int):
     special = rng.random(n) < 0.05
     floats[special] = rng.choice(FLOATS, special.sum())
     counts = rng.integers(0, 10**6, n)
-    return [keys, floats, quoted, rng.random(n), counts, floats.tolist()]
+    # Mostly +-0, as the variances of one-cell subgroups are.
+    zeros = np.where(rng.random(n) < 0.9, 0.0, floats) * np.where(rng.random(n) < 0.3, -1.0, 1.0)
+    return [keys, floats, quoted, rng.random(n), counts, floats.tolist(), zeros]
 
 
 @given(
@@ -142,7 +144,7 @@ def test_writer_matches_the_row_join(entries):
 )
 def test_writer_matches_the_row_join_across_blocks(n):
     columns = _columns(np.random.default_rng(n), n)
-    header = ("key", "float", "text", "uniform", "count", "float_list")
+    header = ("key", "float", "text", "uniform", "count", "float_list", "zeros")
     assert format_csv(header, columns=columns) == reference_csv.format_csv(header, columns=columns)
 
 
