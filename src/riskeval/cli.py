@@ -18,15 +18,24 @@ and the report payload. Float leaves are rounded to 12 significant digits.
 With --percent, every float leaf gains a sibling "<name>_pct" rounded
 half-even to 0.1 percentage points; CSV reports gain matching *_pct columns.
 CSV text fields holding a comma, a double quote or a line break are quoted.
+
+The command line loads numpy with one OpenBLAS thread unless
+OPENBLAS_NUM_THREADS is set; `import riskeval` alone is lazy and leaves
+BLAS threading to the caller.
 """
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import astuple, fields, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
 from pathlib import Path
+
+# The command line does no linear algebra, so OpenBLAS's worker threads, one
+# per extra core and spinning at start-up, only burn CPU. Set before numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

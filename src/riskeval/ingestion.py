@@ -16,7 +16,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,7 +59,8 @@ def ten_year_risk(incidence: float, mortality: float, horizon: float) -> float:
     Constant hazards: outcome incidence and death compete exponentially, so
     the cumulative outcome probability is lam/(lam+mu) * (1 - exp(-(lam+mu)T)).
     expm1 keeps the small-rate limit lam*T accurate down to (lam+mu)*T ~ 0;
-    lam + mu = 0 returns 0 by convention.
+    lam + mu = 0 returns 0 by convention. When lam + mu overflows, the ratio
+    is taken of the halved rates, which is the same ratio.
     """
     lam, mu, t = float(incidence), float(mortality), float(horizon)
     for name, x in (("incidence", lam), ("mortality", mu), ("horizon", t)):
@@ -72,7 +72,9 @@ def ten_year_risk(incidence: float, mortality: float, horizon: float) -> float:
         raise ParameterOutOfRange(f"horizon {t} must be positive")
     if lam == 0.0:
         return 0.0
-    return -lam / (lam + mu) * math.expm1(-(lam + mu) * t)
+    total = lam + mu
+    ratio = lam / total if math.isfinite(total) else 0.5 * lam / (0.5 * lam + 0.5 * mu)
+    return -ratio * math.expm1(-total * t)
 
 
 def read_header(path) -> list[str]:
@@ -233,11 +235,13 @@ def _labels(values: np.ndarray) -> KeyColumn:
     neighbour at 12 digits, NaNs of either sign) share its code.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    fields = _float_fields(bits.view(np.float64))
-    lines = np.concatenate([fields, np.full((len(fields), 1), ord("\n"), np.uint8)], axis=1)
-    text = lines.tobytes().translate(None, bytes([_PAD])).split(b"\n")[:-1]
-    width = (fields != _PAD).sum(axis=1).max(initial=1)
-    vocab, codes = np.unique(np.array(text, dtype=f"S{width}"), return_inverse=True)
+    floats = bits.view(np.float64)
+    labels = np.empty(len(bits), "S33")
+    for start in range(0, len(bits), _BLOCK_ROWS):  # blocks keep the field rows bounded
+        block = _lines([floats[start : start + _BLOCK_ROWS]])
+        labels[start : start + _BLOCK_ROWS] = block.encode().split(b"\n")[:-1]
+    labels = labels.astype(f"S{np.char.str_len(labels).max(initial=1)}")  # narrow before sorting
+    vocab, codes = np.unique(labels, return_inverse=True)
     return KeyColumn(codes[inverse], vocab)
 
 
@@ -553,7 +557,7 @@ def load_cross_decile(path, mortality: float, horizon: float) -> JointModelTable
 
 def example_cross_decile_path() -> Path:
     """Path of the bundled 40-cell synthetic cross-decile example."""
-    return Path(str(resources.files("riskeval").joinpath("data/example_crossdecile.csv")))
+    return Path(__file__).parent / "data" / "example_crossdecile.csv"
 
 
 _QUOTED = re.compile('[,"\r\n]')  # a CSV text field holding one of these is quoted

@@ -75,6 +75,10 @@ class TestConvert:
         out = capsys.readouterr().out
         assert out == "risk over 10 years: 0.0207810354305 (2.1%)\n"
 
+    def test_rates_whose_sum_overflows(self, capsys):
+        assert main(["convert", "1e308", "1e308", "1"]) == 0
+        assert capsys.readouterr().out == "risk over 1 years: 0.5 (50.0%)\n"
+
     def test_invalid_rates(self, capsys):
         assert main(["convert", "-0.1", "0.0053", "10"]) == 2
         assert capsys.readouterr().err.startswith("error:")

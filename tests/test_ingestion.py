@@ -97,6 +97,12 @@ class TestTenYearRisk:
             bound = -math.expm1(-0.01 * 10)
             assert ten_year_risk(0.01, mu, 10) <= bound + TOL
 
+    def test_rates_whose_sum_overflows(self):
+        # lam + mu is inf; the risk is the finite ratio lam / (lam + mu).
+        assert ten_year_risk(1e308, 1e308, 1) == 0.5
+        assert abs(ten_year_risk(1.7e308, 1e307, 10) - 17 / 18) <= TOL
+        assert ten_year_risk(1.7e308, 0.0, 10) == 1.0
+
     def test_validation(self):
         with pytest.raises(NegativeRate):
             ten_year_risk(-0.001, 0.005, 10)

@@ -9,6 +9,7 @@ joint table's gives the bits of a plain mapping lookup.
 
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from riskeval import (
     make_joint_table,
 )
 from riskeval.cli import main
-from riskeval.ingestion import format_csv
+from riskeval.ingestion import _labels, format_csv
 from riskeval.tables import format_label
 
 TIE = 0.123456789012
@@ -144,6 +145,23 @@ def test_signed_zero_keys_stay_apart(tmp_path):
     path.write_text("risk,mass,prevalence\n0.0,0.5,0.25\n-0.0,0.25,0.5\n0,0.25,0.75\n")
     table = load_grouped(path)
     assert table.keys == ("-0", "0") and table.masses == (0.25, 0.75)
+
+
+def test_labels_across_blocks_in_bounded_memory():
+    """200k distinct floats: labels match format_label across block edges, peak under 32 MiB."""
+    specials = [*NEAR, *NANS, math.inf, -math.inf, 1e300]
+    values = np.concatenate([specials, np.random.default_rng(7).random(200_000), specials])
+    _labels(values[:8])  # builds the formatter's cached digit tables
+    tracemalloc.start()
+    try:
+        keys = _labels(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    labels = [format_label(v).encode() for v in values.tolist()]
+    assert keys.vocab.tolist() == sorted(set(labels))
+    assert keys.vocab[keys.codes].tolist() == labels
+    assert peak < 32 * 2**20
 
 
 @settings(max_examples=30, deadline=None)
