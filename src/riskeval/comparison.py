@@ -22,7 +22,7 @@ from .errors import (
     MeanMismatch,
     MissingAssignment,
 )
-from .metrics import IDENTITY_TOL, _squares, evaluate
+from .metrics import IDENTITY_TOL, evaluate
 from .tables import (
     Columns,
     GroupedModelTable,
@@ -248,7 +248,8 @@ def subgroup_precision_gain(joint: JointModelTable) -> SubgroupGainReport:
     m, p = joint.mass[order], joint.prevalence[order]
     mass = _exact_sums(m, sizes)
     mean = _exact_sums(m * p, sizes) / mass
-    var = _exact_sums(m * _squares(p - np.repeat(mean, sizes)), sizes) / mass
+    d = p - np.repeat(mean, sizes)
+    var = _exact_sums(m * (d * d), sizes) / mass
     heads = order[starts]  # each group's first cell
     risk = joint.risk1[heads]
     rank = np.lexsort((keys.codes[heads], risk))

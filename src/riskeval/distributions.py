@@ -6,6 +6,7 @@ heterogeneity and is bounded above by mean*(1 - mean).
 
 The package's exact sums live here too: `_exact_sum` and `_exact_sums` give
 math.fsum's bits for a whole array or for each of its contiguous segments.
+So does the one merge kernel, `_merge`, for table keys and tied risks alike.
 """
 
 import math
@@ -113,31 +114,47 @@ def _check_total_mass(masses) -> None:
         raise MassSumOutOfTolerance(f"masses sum to {total!r}, not 1 within {MASS_SUM_TOL}")
 
 
-def _merge_tied_risks(rows) -> list[list]:
-    """Merge risk-sorted (risk, mass, label) rows whose risks tie.
+def _merge(codes: np.ndarray, mass: np.ndarray, prev: np.ndarray):
+    """Summed mass and mass-weighted prevalence, sum(m p) / sum(m), per code.
 
-    For callers whose risk is also the prevalence. Consecutive rows whose
-    risks agree within RISK_MERGE_TOL become one [risk, mass, labels] entry,
-    risk mass-weighted, labels in row order.
+    Sums run in row order, as a running Python sum does. bincount starts
+    each sum at +0.0, so a code whose m p terms are all -0.0 is given back
+    the -0.0 that a running sum of them keeps.
     """
-    merged: list[list] = []
-    for risk, mass, label in rows:
-        if merged and risk - merged[-1][0] <= RISK_MERGE_TOL:
-            r0, m0, labels = merged[-1]
-            m = m0 + mass
-            merged[-1] = [(r0 * m0 + risk * mass) / m, m, labels + [label]]
-        else:
-            merged.append([risk, mass, [label]])
-    return merged
+    total = np.bincount(codes, weights=mass)
+    wp = mass * prev
+    wsum = np.bincount(codes, weights=wp)
+    wsum[np.bincount(codes, weights=~(np.signbit(wp) & (wp == 0.0))) == 0] = -0.0
+    with np.errstate(invalid="ignore"):  # an infinite total fails the mass check later
+        return total, wsum / total
+
+
+def _merge_ties(risk: np.ndarray, mass: np.ndarray):
+    """Merge sorted risks joined by a chain of gaps of at most RISK_MERGE_TOL.
+
+    The masses play no part. Each tie merges by _merge, risks as prevalences;
+    a risk tied with no other keeps its bits. Returns each entry's tie and each
+    tie's mass and risk, neighbouring tie risks more than 1e-12 apart.
+    """
+    tie = np.concatenate(([0], np.cumsum(np.diff(risk) > RISK_MERGE_TOL)))
+    total, mean = _merge(tie, mass, risk)
+    size = np.bincount(tie)
+    lo, hi = risk[np.cumsum(size) - size], risk[np.cumsum(size) - 1]
+    point = np.where(size == 1, lo, mean)
+    # A rounded mean can leave its tie's range toward a neighbour just over 1e-12 away.
+    while (near := np.diff(point) <= RISK_MERGE_TOL).any():
+        move = np.append(near, False) | np.insert(near, 0, False)
+        point = np.where(move & (point < lo), lo, np.where(move & (point > hi), hi, point))
+    return tie, total, point
 
 
 @dataclass(frozen=True)
 class RiskDistribution:
     """Finite support distribution of true risk.
 
-    points holds (risk, mass) pairs sorted by risk, with risks pairwise
-    distinct beyond merge tolerance and masses positive. Construct with
-    make_distribution rather than directly.
+    points holds (risk, mass) pairs sorted by risk, masses positive and
+    neighbouring risks more than 1e-12 apart (risks joined by a chain of gaps
+    of at most 1e-12 are one point). Construct with make_distribution.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -161,9 +178,10 @@ class RiskDistribution:
 def make_distribution(points) -> RiskDistribution:
     """Build a RiskDistribution from (risk, mass) pairs.
 
-    Zero-mass points are dropped, risks equal within 1e-12 are merged
-    (mass-weighted), and the result is sorted by risk. Masses must sum to 1
-    within 1e-9 after validation.
+    Zero-mass points are dropped and the rest sorted by risk. Risks joined
+    by a chain of sorted gaps of at most 1e-12 tie, whatever their masses or
+    input order, and merge into one point (summed mass, mass-weighted risk).
+    Masses must sum to 1 within 1e-9 after validation.
     """
     pairs = [(_check_unit_interval("risk", p), _check_mass(f)) for p, f in points]
     if not pairs:
@@ -172,9 +190,8 @@ def make_distribution(points) -> RiskDistribution:
     if not pairs:
         raise EmptyInput("all support points have zero mass")
     _check_total_mass(f for _, f in pairs)
-    pairs.sort()
-    merged = _merge_tied_risks((p, f, None) for p, f in pairs)
-    return RiskDistribution(points=tuple((p, f) for p, f, _ in merged))
+    _, mass, risk = _merge_ties(*np.array(sorted(pairs)).T)
+    return RiskDistribution(points=tuple(zip(risk.tolist(), mass.tolist())))
 
 
 def constant_distribution(pi: float) -> RiskDistribution:

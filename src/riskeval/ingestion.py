@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import _nonnegative_sum
+from .distributions import _merge, _nonnegative_sum
 from .errors import (
     DegenerateBins,
     EmptyInput,
@@ -39,7 +39,6 @@ from .tables import (
     JointModelTable,
     KeyColumn,
     _floats,
-    _merge,
     _outside_unit,
     _raise_first,
     coded,
@@ -382,9 +381,9 @@ def load_individuals(path) -> IndividualRecords:
 
 def _bin_ids(
     risks: np.ndarray, scheme: str, k: int
-) -> tuple[np.ndarray, KeyColumn | list[str], np.ndarray | None]:
-    """Assign each record a bin id; returns ids, ordered bin labels (a KeyColumn
-    for unique values), and the exact bin risks when the scheme fixes them."""
+) -> tuple[np.ndarray, KeyColumn, np.ndarray | None]:
+    """Assign each record a bin id; returns ids, the bin keys (entry i keys
+    bin id i), and the exact bin risks when the scheme fixes them."""
     if scheme == "unique-values":
         values, ids = np.unique(risks, return_inverse=True)
         return ids, _labels(values), values
@@ -404,7 +403,7 @@ def _bin_ids(
     if distinct < k:
         raise DegenerateBins(f"{distinct} distinct risks cannot fill {k} bins")
     width = len(str(k))
-    labels = [f"q{int(old) + 1:0{width}d}" for old in np.flatnonzero(filled)]
+    labels = coded(f"q{int(old) + 1:0{width}d}" for old in np.flatnonzero(filled))
     return (np.cumsum(filled) - 1)[ids], labels, None
 
 
@@ -415,7 +414,6 @@ def _bin_model(risks: np.ndarray, outcomes: np.ndarray, scheme: str, k: int):
     member risk.
     """
     ids, labels, risk_of = _bin_ids(risks, scheme, k)
-    labels = labels if isinstance(labels, KeyColumn) else coded(labels)
     counts = np.bincount(ids, minlength=len(labels))
     if risk_of is None:
         risk_of = np.bincount(ids, weights=risks, minlength=len(labels)) / counts

@@ -25,11 +25,6 @@ from .tables import GroupedModelTable
 IDENTITY_TOL = 1e-12
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """Each element squared, correctly rounded: x * x."""
-    return x * x
-
-
 def _require_nondegenerate(table: GroupedModelTable) -> float:
     pi = table.population_mean
     if pi <= 0.0 or pi >= 1.0:
@@ -41,18 +36,20 @@ def _require_nondegenerate(table: GroupedModelTable) -> float:
 
 def calibration_bias_sq(table: GroupedModelTable) -> float:
     """Mass-weighted squared gap between assigned risk and group prevalence."""
-    return _exact_sum(table.mass * _squares(table.risk - table.prevalence))
+    d = table.risk - table.prevalence
+    return _exact_sum(table.mass * (d * d))
 
 
 def prevalence_variance(table: GroupedModelTable) -> float:
     """Variance of group prevalences around the population mean."""
-    return _exact_sum(table.mass * _squares(table.prevalence - table.population_mean))
+    d = table.prevalence - table.population_mean
+    return _exact_sum(table.mass * (d * d))
 
 
 def brier_score(table: GroupedModelTable) -> float:
     """Expected squared difference between assigned risk and binary outcome."""
-    p = table.prevalence
-    return _exact_sum(table.mass * (p * (1.0 - p) + _squares(table.risk - p)))
+    p, d = table.prevalence, table.risk - table.prevalence
+    return _exact_sum(table.mass * (p * (1.0 - p) + d * d))
 
 
 def precision_loss(table: GroupedModelTable) -> float:

@@ -17,13 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import RiskDistribution, _merge_tied_risks, make_distribution
+from .distributions import RiskDistribution, _merge, _merge_ties, make_distribution
 from .errors import ParameterOutOfRange
 from .tables import (
     Columns,
     GroupedModelTable,
     JointModelTable,
-    _merge,
     coded,
     make_grouped_table,
     make_joint_table,
@@ -104,19 +103,20 @@ def _project(pop: SyntheticPopulation, subset):
     of each positive-mass cell.
 
     Well-calibrated convention: assigned risk equals the class prevalence,
-    so classes of equal prevalence form one group, keyed by their labels
-    joined with "|".
+    so classes joined by a chain of sorted prevalence gaps of at most 1e-12
+    form one group, keyed by their labels joined with "|" in label order.
     """
     subset = _canonical_subset(subset)
     cells = [c for c in pop.cells if c.mass != 0.0]
     classes = coded(_cell_label(c, subset) for c in cells)
     mass, prev = _merge(classes.codes, *np.array([(c.mass, c.risk) for c in cells]).T)
-    # A class's code ranks its label, so classes sort as their labels do.
-    tied = _merge_tied_risks(sorted(zip(prev.tolist(), mass.tolist(), range(len(prev)))))
-    key_of = np.empty(len(prev), dtype=object)  # group key of each class
-    for _, _, members in tied:
-        key_of[members] = "|".join(classes.labels[sorted(members)])
-    table = make_grouped_table((key_of[members[0]], p, m, p) for p, m, members in tied)
+    order = np.lexsort((mass, prev))  # by prevalence, then mass, then class
+    tie, mass, prev = _merge_ties(prev[order], mass[order])
+    # A class's code ranks its label, so sorted codes give the labels in order.
+    members = np.split(order, np.cumsum(np.bincount(tie))[:-1])
+    keys = np.array(["|".join(classes.labels[np.sort(m)]) for m in members], dtype=object)
+    key_of = keys[tie[np.argsort(order)]]  # group key of each class
+    table = make_grouped_table(Columns((keys,), (prev,), mass, prev))
     return table, coded(key_of[classes.codes])
 
 
@@ -124,8 +124,9 @@ def project_model(pop: SyntheticPopulation, subset) -> GroupedModelTable:
     """Well-calibrated model using only the given covariates.
 
     Groups are covariate-value classes, each assigned its exact prevalence.
-    Classes with equal prevalence (within 1e-12) form one group, keyed by
-    the class labels joined with "|". Zero-mass classes are dropped.
+    Classes joined by a chain of sorted prevalence gaps of at most 1e-12 form
+    one group, whatever their masses, keyed by the class labels joined with
+    "|". Zero-mass classes are dropped.
     """
     table, _ = _project(pop, subset)
     return table
@@ -133,8 +134,7 @@ def project_model(pop: SyntheticPopulation, subset) -> GroupedModelTable:
 
 def cross_classify(pop: SyntheticPopulation, subset1, subset2) -> JointModelTable:
     """Joint table of the two projected models, cells keyed by group pairs."""
-    s1, s2 = _canonical_subset(subset1), _canonical_subset(subset2)
-    (table1, keys1), (table2, keys2) = _project(pop, s1), _project(pop, s2)
+    (table1, keys1), (table2, keys2) = _project(pop, subset1), _project(pop, subset2)
     risks = (table1.risk[rows_of(table1, keys1)], table2.risk[rows_of(table2, keys2)])
     mass, risk = np.array([(c.mass, c.risk) for c in pop.cells if c.mass != 0.0]).T
     return make_joint_table(Columns((keys1, keys2), risks, mass, risk))

@@ -31,6 +31,7 @@ from .distributions import (
     _check_total_mass,
     _check_unit_interval,
     _exact_sum,
+    _merge,
 )
 from .errors import EmptyInput, InternalInvariantError, InvariantViolation
 
@@ -146,21 +147,6 @@ def rows_of(table: "GroupedModelTable", keys: KeyColumn) -> np.ndarray:
     at = np.full(len(keys.vocab), len(own.vocab))
     at[order[hit + 1] - len(own.vocab)] = order[hit]
     return row[at[keys.codes]]
-
-
-def _merge(codes: np.ndarray, mass: np.ndarray, prev: np.ndarray):
-    """Summed mass and mass-weighted prevalence, sum(m p) / sum(m), per code.
-
-    Sums run in row order, as a running Python sum does. bincount starts
-    each sum at +0.0, so a code whose m p terms are all -0.0 is given back
-    the -0.0 that a running sum of them keeps.
-    """
-    total = np.bincount(codes, weights=mass)
-    wp = mass * prev
-    wsum = np.bincount(codes, weights=wp)
-    wsum[np.bincount(codes, weights=~(np.signbit(wp) & (wp == 0.0))) == 0] = -0.0
-    with np.errstate(invalid="ignore"):  # an infinite total fails the mass check later
-        return total, wsum / total
 
 
 def _check_entry(columns, i: int, risk_names) -> None:

@@ -6,6 +6,9 @@ replaced, kept in behaviour: one frozen `Group` or `JointCell` per row,
 merges in a dict, Python floats throughout. The table classes keep their
 old names, so `repr` of a reference table is the text the columnar tables
 must reproduce. The scalar checks are shared with the library.
+
+`_merge_tied_risks` is the running-mean loop that merged tied risks before
+`distributions._merge_ties`, kept verbatim.
 """
 
 import math
@@ -114,6 +117,24 @@ def make_joint_table(cells) -> JointModelTable:
         for (k1, k2), (r1, r2), m, p in rows
     )
     return JointModelTable(cells=cells_out, population_mean=mean)
+
+
+def _merge_tied_risks(rows) -> list[list]:
+    """Merge risk-sorted (risk, mass, label) rows whose risks tie.
+
+    For callers whose risk is also the prevalence. Consecutive rows whose
+    risks agree within RISK_MERGE_TOL become one [risk, mass, labels] entry,
+    risk mass-weighted, labels in row order.
+    """
+    merged: list[list] = []
+    for risk, mass, label in rows:
+        if merged and risk - merged[-1][0] <= RISK_MERGE_TOL:
+            r0, m0, labels = merged[-1]
+            m = m0 + mass
+            merged[-1] = [(r0 * m0 + risk * mass) / m, m, labels + [label]]
+        else:
+            merged.append([risk, mass, [label]])
+    return merged
 
 
 # --------------------------------------------------------------------------

@@ -321,4 +321,4 @@ def test_quantile_bins_match_sort_and_walk(case):
         return
     (ids, labels), (want_ids, want_labels) = got, want
     assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
-    assert labels == want_labels
+    assert labels.tolist() == want_labels

@@ -3,7 +3,8 @@
 import math
 
 import pytest
-from hypothesis import given
+import reference_tables as ref
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskeval import (
@@ -168,3 +169,116 @@ class TestProperties:
         assert all(
             abs(a - b) <= 1e-12 for a, b in zip(nudged.risks, d.risks)
         )
+
+
+# ---------------------------------------------------------------------------
+# the tie rule: risks joined by a chain of sorted gaps of at most 1e-12 merge
+
+
+class TestTieRule:
+    def test_a_chain_of_small_gaps_is_one_tie(self):
+        # The ends are 1.6e-12 apart, joined by gaps of 0.9e-12 and 0.7e-12.
+        d = make_distribution([(0.5, 0.25), (0.5 + 0.9e-12, 0.5), (0.5 + 1.6e-12, 0.25)])
+        assert len(d.points) == 1
+        assert d.masses == (1.0,)
+
+    @pytest.mark.parametrize("masses", [(0.01, 0.98, 0.01), (0.98, 0.01, 0.01)])
+    def test_ties_do_not_depend_on_the_masses(self, masses):
+        d = make_distribution(zip((0.0, 1e-12, 1.8e-12), masses))
+        assert len(d.points) == 1
+        assert 0.0 <= d.risks[0] <= 1.8e-12
+
+    def test_a_rounded_mean_does_not_come_within_the_gap_of_its_neighbour(self):
+        # The two equal risks' mass-weighted mean rounds one ulp above them,
+        # and the third risk is just over 1e-12 above them.
+        p = 0.11587106515186939
+        q = 0.11587106515286939
+        assert (p * 0.1737929899285008 + p * 0.5017279849959574) / 0.6755209749244582 > p
+        d = make_distribution(
+            [(p, 0.1737929899285008), (p, 0.5017279849959574), (q, 0.3244790250755418)]
+        )
+        assert d.risks == (p, q)
+
+
+# Gaps between neighbouring planted risks: equal risks, gaps on either side of
+# 1e-12, and wide ones.
+GAPS = st.sampled_from([0.0, 0.0, 3e-13, 7e-13, 9e-13, 1e-12, 1.1e-12, 1.6e-12, 1e-9, 0.01])
+
+
+@st.composite
+def near_ties(draw):
+    """(risk, mass) pairs: runs of planted gaps from random starts, some masses zero."""
+    risks = []
+    for start in draw(st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4)):
+        risk = start
+        for gap in draw(st.lists(GAPS, min_size=1, max_size=8)):
+            risk = min(risk + gap, 1.0)
+            risks.append(risk)
+    weights = draw(st.lists(st.integers(0, 100), min_size=len(risks), max_size=len(risks)))
+    if not any(weights):
+        weights[0] = 1
+    return [(r, w / sum(weights)) for r, w in zip(risks, weights)]
+
+
+class TestTieRuleProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(near_ties())
+    def test_points_are_the_runs_between_wide_gaps(self, points):
+        d = make_distribution(points)
+        live = sorted(r for r, m in points if m > 0.0)
+        wide = sum(b - a > 1e-12 for a, b in zip(live, live[1:]))
+        assert len(d.points) == 1 + wide
+        assert all(b - a > 1e-12 for a, b in zip(d.risks, d.risks[1:]))
+        assert make_distribution(points[::-1]) == d
+
+
+def _old_distribution(points):
+    """make_distribution through the running-mean loop it replaced."""
+    pairs = sorted((float(r), float(m)) for r, m in points if m > 0.0)
+    return [(r, m) for r, m, _ in ref._merge_tied_risks((r, m, None) for r, m in pairs)]
+
+
+def _same_bits_as_the_old_loop(points):
+    got = [(r.hex(), m.hex()) for r, m in make_distribution(points).points]
+    assert got == [(r.hex(), m.hex()) for r, m in _old_distribution(points)]
+
+
+@st.composite
+def separated_ties(draw, max_size):
+    """(risk, mass) pairs in ties of 1 to max_size members within 0.9e-12 of
+    each other, the ties 1e-5 or more apart: each tie is one point under the
+    old loop and the new rule alike."""
+    starts = draw(st.lists(st.integers(0, 99_999), min_size=1, max_size=6, unique=True))
+    points = []
+    for start in starts:
+        for step in draw(st.lists(st.integers(0, 9), min_size=1, max_size=max_size)):
+            points.append((start * 1e-5 + step * 1e-13, draw(st.floats(0.001, 1.0))))
+    total = math.fsum(m for _, m in points)
+    return [(r, m / total) for r, m in points]
+
+
+class TestAgainstTheRunningMean:
+    @settings(max_examples=400, deadline=None)
+    @given(separated_ties(2))
+    def test_singletons_and_pairs_keep_their_bits(self, points):
+        _same_bits_as_the_old_loop(points)
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(-0.0, 1.0)],
+            [(-0.0, 0.5), (-0.0, 0.5)],
+            [(-0.0, 0.3), (0.0, 0.7)],
+            [(0.0, 0.3), (-0.0, 0.7)],
+            [(-0.0, 0.2), (1e-13, 0.3), (0.0, 0.5)],
+        ],
+    )
+    def test_signed_zeros_keep_their_bits(self, points):
+        _same_bits_as_the_old_loop(points)
+
+    @settings(max_examples=400, deadline=None)
+    @given(separated_ties(8))
+    def test_ties_keep_their_partition(self, points):
+        got, want = make_distribution(points).points, _old_distribution(points)
+        assert [m for _, m in got] == [m for _, m in want]
+        assert all(abs(a - b) <= 1e-15 * b for (a, _), (b, _) in zip(got, want))

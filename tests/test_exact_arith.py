@@ -1,8 +1,9 @@
 """Exact arithmetic: correctly rounded squares and sums with math.fsum's bits.
 
-`metrics._squares` must give each square correctly rounded, which
-`fractions.Fraction` checks exactly; the C library's pow(x, 2.0), behind
-Python's x ** 2, misrounds some of the values below. The array sum kernel
+The metrics must give each square correctly rounded, which
+`fractions.Fraction` checks exactly on the calibration term of one-group
+tables; the C library's pow(x, 2.0), behind Python's x ** 2, misrounds some
+of the values below. The array sum kernel
 `distributions._exact_sums` must give math.fsum's bits for a whole array and
 for each contiguous segment, compared through `float.hex`, over the double
 range: subnormals to 2**1023, exact cancellation, +-0, inf and nan (the same
@@ -20,11 +21,23 @@ from hypothesis import strategies as st
 from riskeval import distributions
 from riskeval.distributions import _check_total_mass, _exact_sum, _exact_sums, _nonnegative_sum
 from riskeval.errors import MassSumOutOfTolerance
-from riskeval.metrics import _squares
+from riskeval.metrics import calibration_bias_sq
+from riskeval.tables import GroupedModelTable, coded
 
 
 def _rounded_square(x: float) -> float:
     return float(Fraction(x) ** 2)
+
+
+def _squares(values) -> list[float]:
+    """Each value squared as the metrics square: the calibration term of a
+    table with one group of mass 1, risk x and prevalence 0. The table is
+    built directly, unchecked, so that x may lie outside [0, 1]."""
+    key, one, zero = coded(["g"]), np.ones(1), np.zeros(1)
+    return [
+        calibration_bias_sq(GroupedModelTable(key, np.array([x]), one, zero, 0.0))
+        for x in values
+    ]
 
 
 # Squares that libm pow(x, 2.0) rounds the wrong way on x86-64 glibc.
@@ -34,19 +47,19 @@ MISROUNDED = ["0x1.e694e2eadbec4p-1", "0x1.6e74f70d7fe2cp-2", "0x1.9ce89a257ee2a
 @pytest.mark.parametrize("text", MISROUNDED)
 def test_squares_are_correctly_rounded_where_pow_is_not(text):
     x = float.fromhex(text)
-    (square,) = _squares(np.array([x])).tolist()
+    (square,) = _squares([x])
     assert square.hex() == _rounded_square(x).hex()
 
 
 def test_squares_are_correctly_rounded_on_random_values():
     x = np.random.default_rng(12).random(20_000)
-    got = _squares(x).tolist()
+    got = _squares(x.tolist())
     assert [s.hex() for s in got] == [_rounded_square(v).hex() for v in x.tolist()]
 
 
 @given(st.lists(st.floats(min_value=-(2.0**511), max_value=2.0**511), min_size=1, max_size=50))
 def test_squares_are_correctly_rounded(values):
-    got = _squares(np.array(values, dtype=np.float64)).tolist()
+    got = _squares(values)
     assert [s.hex() for s in got] == [_rounded_square(v).hex() for v in values]
 
 
