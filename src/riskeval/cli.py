@@ -7,6 +7,9 @@ Subcommands:
            or a cross-decile count table
   convert  annual incidence + mortality rates to a T-year absolute risk
 
+`main` owns dispatch and output: each subcommand's handler only adds files
+to one Writer, and `main` writes them and prints a `wrote` line per file.
+
 Every run is deterministic: no timestamps, fixed 12-significant-digit float
 formatting, sorted JSON keys. Exit codes: 0 success, 2 input or validation
 error, 3 internal invariant violation.
@@ -220,11 +223,10 @@ def _input_paths(names) -> list[Path]:
     return paths
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
+def cmd_synth(args: argparse.Namespace, writer: Writer) -> None:
     alphas, subsets = _parse_alphas(args.alpha), _parse_models(args.models)
-    writer = Writer(Path(args.out), args.format, args.percent)
     populations = {a: build_population(a) for a in alphas}
-    tables = {}  # (alpha, subset) -> grouped table
+    tables = {(a, s): project_model(pop, s) for a, pop in populations.items() for s in subsets}
     matrix_rows = []  # (alpha, model name, *metrics)
     for alpha, pop in populations.items():
         alabel = format_label(alpha)
@@ -233,14 +235,11 @@ def cmd_synth(args: argparse.Namespace) -> int:
             f"risk_distribution_alpha{alabel}.csv",
             format_csv(("risk", "mass"), columns=np.array(dist.points).T),
         )
-        models = [(_subset_label(s), project_model(pop, s)) for s in subsets]
-        models.append(("perfect", perfect_model_table(dist)))
-        for name, table in models:
-            if name != "perfect":
-                writer.add_text(f"model_alpha{alabel}_{name}.csv", grouped_csv(table))
-            matrix_rows.append((alpha, name, *astuple(evaluate(table))))
         for subset in subsets:
-            tables[(alpha, subset)] = dict(models)[_subset_label(subset)]
+            name, table = _subset_label(subset), tables[(alpha, subset)]
+            writer.add_text(f"model_alpha{alabel}_{name}.csv", grouped_csv(table))
+            matrix_rows.append((alpha, name, *astuple(evaluate(table))))
+        matrix_rows.append((alpha, "perfect", *astuple(evaluate(perfect_model_table(dist)))))
         if len(subsets) >= 2:
             s1, s2 = subsets[0], subsets[1]
             joint = cross_classify(pop, s1, s2)
@@ -264,12 +263,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
     matrix = [np.array(column) for column in zip(*matrix_rows)]
     header = ("alpha", "model") + METRIC_FIELDS
     writer.add_report("metrics_matrix", "metrics_matrix", [], header, matrix)
-    for path in writer.flush():
-        print(f"wrote {path}")
-    return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
+def cmd_eval(args: argparse.Namespace, writer: Writer) -> None:
     (path,) = _input_paths(args.paths)
     scheme, k = parse_bins(args.bins)
     if read_header(path)[: len(INDIVIDUALS_HEADER)] == INDIVIDUALS_HEADER:
@@ -284,15 +280,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "(declared-calibrated)",
                 file=sys.stderr,
             )
-    writer = Writer(Path(args.out), args.format, args.percent)
     writer.add_report("metrics", "metrics", _report_pairs(evaluate(table)))
     writer.add_text("attributes.csv", _attributes_csv(table))
-    for out in writer.flush():
-        print(f"wrote {out}")
-    return 0
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace, writer: Writer) -> None:
     paths = _input_paths(args.paths)
     if len(paths) == 1:
         header = read_header(paths[0])
@@ -323,31 +315,16 @@ def cmd_compare(args: argparse.Namespace) -> int:
     comp = compare(table1, table2)
     gain = subgroup_precision_gain(joint)
     cell_bias = cross_classified_bias(joint, table1, table2)
-    writer = Writer(Path(args.out), args.format, args.percent)
     writer.add_report("comparison", "comparison", _report_pairs(comp))
     _add_gain_report(writer, "subgroup_gain", gain)
     header = ("group1", "group2", "mass", "prevalence", "risk1", "risk2", "bias1", "bias2")
     writer.add_csv("cell_bias.csv", header, cell_bias.columns())
-    for out in writer.flush():
-        print(f"wrote {out}")
-    return 0
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
+def cmd_convert(args: argparse.Namespace, writer: None) -> None:
     risk = ten_year_risk(args.incidence, args.mortality, args.horizon)
     print(f"risk over {format_label(args.horizon)} years: "
           f"{format_label(risk)} ({percent_round(risk)}%)")
-    return 0
-
-
-def dispatch(args: argparse.Namespace) -> int:
-    commands = {
-        "synth": cmd_synth,
-        "eval": cmd_eval,
-        "compare": cmd_compare,
-        "convert": cmd_convert,
-    }
-    return commands[args.command](args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,11 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", default="0.2,0.8", help="comma-separated alpha values")
     p.add_argument("--models", default="z0z1,z0z1z2", help="comma-separated covariate subsets")
     add_output_flags(p)
+    p.set_defaults(run=cmd_synth)
 
     p = sub.add_parser("eval", help="evaluate one model file")
     p.add_argument("paths", nargs=1, metavar="PATH")
     p.add_argument("--bins", default="unique", help="unique | deciles | quantiles:K")
     add_output_flags(p)
+    p.set_defaults(run=cmd_eval)
 
     p = sub.add_parser("compare", help="compare two models")
     p.add_argument(
@@ -382,11 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mortality", type=float, default=None)
     p.add_argument("--horizon", type=float, default=None)
     add_output_flags(p)
+    p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("convert", help="annual rates to T-year risk")
     p.add_argument("incidence", type=float)
     p.add_argument("mortality", type=float)
     p.add_argument("horizon", type=float)
+    p.set_defaults(run=cmd_convert)
     return parser
 
 
@@ -397,7 +378,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        return dispatch(args)
+        writer = Writer(Path(args.out), args.format, args.percent) if "out" in args else None
+        args.run(args, writer)
+        if writer is not None:
+            for path in writer.flush():
+                print(f"wrote {path}")
+        return 0
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3

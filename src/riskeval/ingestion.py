@@ -211,19 +211,14 @@ def _parse_float(path, lineno: int, name: str, text: str) -> float:
 
 
 def _float_columns(path, linenos, columns: dict[str, list[str]]) -> list[np.ndarray]:
-    """Each column parsed whole with float.
-
-    When a field does not parse, the rows are walked in file order, each
-    row's fields in column order, so that the first bad field is reported.
-    """
-    try:
-        return [np.fromiter(map(float, texts), dtype=float, count=len(texts))
-                for texts in columns.values()]
-    except ValueError:
-        for lineno, *texts in zip(linenos, *columns.values()):
-            for name, text in zip(columns, texts):
-                _parse_float(path, lineno, name, text)
-        raise
+    """Each column parsed with float, NaN where it raises; the rows holding a
+    NaN are parsed again field by field in file order, so the first field
+    that is not a number raises. A literal nan is left for the table checks."""
+    floats = [_floats(texts) for texts in columns.values()]
+    for i in np.flatnonzero(np.any([np.isnan(c) for c in floats], axis=0)).tolist():
+        for name, texts in columns.items():
+            _parse_float(path, linenos[i], name, texts[i])
+    return floats
 
 
 def _labels(values: np.ndarray) -> KeyColumn:
@@ -301,14 +296,16 @@ class IndividualRecords:
 
     @classmethod
     def from_records(cls, records) -> "IndividualRecords":
-        """Columns of an IndividualRecord sequence; risk2 follows the first record."""
+        """Columns of an IndividualRecord sequence; risk2 must be present on
+        all records or none, as in load_individuals."""
         records = list(records)
-        risk2 = None
-        if records and records[0].risk2 is not None:
-            risk2 = np.array([r.risk2 for r in records], dtype=float)
+        risk2 = [r.risk2 for r in records]
+        blank = risk2.count(None)
+        if 0 < blank < len(records):
+            raise InvariantViolation("risk2 must be present on all records or none")
         return cls(
             risk1=np.array([r.risk1 for r in records], dtype=float),
-            risk2=risk2,
+            risk2=np.array(risk2, dtype=float) if risk2 and not blank else None,
             outcome=np.array([r.outcome for r in records]),
         )
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riskeval
-from riskeval import evaluate, ten_year_risk, write_grouped, write_joint
+from riskeval import ParameterOutOfRange, evaluate, ten_year_risk, write_grouped, write_joint
 from riskeval.cli import main, percent_round
 
 TOL = 1e-12
@@ -420,6 +420,28 @@ class TestSynth:
         assert main(["synth", "--models", "z9"]) == 2
         assert main(["synth", "--models", "z0,z0"]) == 2
         capsys.readouterr()
+
+    def test_a_command_that_raises_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        added = []
+        add_text = riskeval.cli.Writer.add_text
+
+        def spy(writer, name, text):
+            added.append(name)
+            add_text(writer, name, text)
+
+        def fail(*args):
+            raise ParameterOutOfRange("cross-classification failed")
+
+        monkeypatch.setattr(riskeval.cli.Writer, "add_text", spy)
+        monkeypatch.setattr(riskeval.cli, "cross_classify", fail)
+        out = tmp_path / "out"
+        assert main(["synth", "--out", str(out)]) == 2
+        # The raise comes after files were added, and none of them is written.
+        assert {"risk_distribution_alpha0.2.csv", "model_alpha0.2_z0z1.csv"} <= set(added)
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert "wrote" not in captured.out
+        assert captured.err == "error: cross-classification failed\n"
 
     @pytest.mark.parametrize("alphas", ["0.2,0.2", "0.2,0.20", "0.8,0.2,0.2000000000001"])
     def test_repeated_alpha_exits_2(self, alphas, tmp_path, capsys):

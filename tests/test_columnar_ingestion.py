@@ -14,6 +14,7 @@ from riskeval import (
     DegenerateBins,
     IndividualRecord,
     IndividualRecords,
+    InvariantViolation,
     bin_individuals,
     load_grouped,
     load_individuals,
@@ -74,6 +75,14 @@ class TestIndividualRecordsContract:
         records = IndividualRecords.from_records(rows)
         assert len(records) == 2 and records == rows
         assert records.risk1.dtype == np.float64 and records.risk2.dtype == np.float64
+
+    @pytest.mark.parametrize("risk2", [(0.2, None), (None, 0.3)], ids=["first", "second"])
+    def test_risk2_on_some_records_only_is_rejected(self, risk2):
+        # As load_individuals rejects a risk2 column filled on some rows only.
+        rows = [IndividualRecord(0.1, risk2[0], 0), IndividualRecord(0.2, risk2[1], 1)]
+        for build in (IndividualRecords.from_records, bin_individuals):
+            with pytest.raises(InvariantViolation, match="^risk2 must be present on all records"):
+                build(rows)
 
 
 class TestBinningParity:
@@ -254,6 +263,33 @@ def test_reader_error_order_matches_row_loader(tmp_path, body):
     got = _outcome(load_individuals, path)
     assert got[0] == "raised"
     assert got == _outcome(ref.load_individuals, path)
+
+
+@pytest.mark.parametrize(
+    "kind, body",
+    [
+        # A literal nan on an earlier row than a non-number: the non-number is reported.
+        ("grouped", "0.1,0.5,nan\n0.2,x,0.1\n"),
+        ("grouped", "nan,0.5,\n0.2,0.5,0.1\n0.3,,0.2\n"),
+        ("joint", "0.1,0.2,nan,0.1\n0.3,0.4,0.5,x\n"),
+        ("joint", "0.1,nan,0.5,0.1\n\"0.3\",y,0.5,0.2\n"),
+        # The only NaNs are literals: they pass the parse and fail the table checks.
+        ("grouped", "0.1,nan,\n0.2,0.5,0.1\n"),
+        ("grouped", "\"0.1\",0.5,nan\n0.2,0.5,0.1\n"),
+        ("joint", "\"0.1\",0.2,0.5,nan\n0.3,0.4,0.5,0.2\n"),
+        ("joint", "nan,0.2,0.5,0.1\n\"0.3\",nan,0.5,0.2\n"),
+    ],
+)
+def test_float_columns_error_order_matches_row_loader(tmp_path, kind, body):
+    path = tmp_path / f"{kind}.csv"
+    header = HEADERS[kind]
+    path.write_text(",".join(header) + "\n" + body)
+    # Each body goes to csv.reader, so _float_columns parses it.
+    assert ingestion._plain_columns(path, header, ("f8",) * len(header)) is None
+    new, old = LOADERS[kind]
+    got = _outcome(new, path)
+    assert got[0] == "raised"
+    assert got == _outcome(old, path)
 
 
 def _no_csv_reader(*args, **kwargs):
