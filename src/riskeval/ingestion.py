@@ -5,10 +5,12 @@ row, UTF-8. Float text, in CSV columns and group labels, equals format(x,
 ".12g"), from one exact vectorized formatter that falls back to format per
 value, so write/load round trips agree within 1e-12. numpy's C reader takes
 plain grouped, joint and records files (one unquoted row per line, every
-field filled); csv.reader takes every other file, and cross-decile tables,
-and reports the first fault in file order.
+field filled, except a records file's risk2, which may be blank on every
+row); csv.reader takes every other file, and cross-decile tables, in one
+pass, and reports the first fault in file order.
 """
 
+import array
 import csv
 import functools
 import itertools
@@ -86,62 +88,20 @@ def read_header(path) -> list[str]:
     return [h.strip() for h in fields]
 
 
-def _tally(rows, widths: list[int]):
-    """Pass rows through, appending each row's field count to widths."""
-    for row in rows:
-        widths.append(len(row))
-        yield row
-
-
-def _row_lines(path, n: int) -> list[int]:
-    """Line numbers on which the first n data rows of a CSV file start."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        fh.readline()
-        reader = csv.reader(fh)
-        starts = []
-        for _ in range(n):
-            starts.append(reader.line_num + 2)
-            next(reader)
-    return starts
-
-
-def _kept_rows(path, width: int, widths: list[int], starts, fields: list[str]):
-    """One pass over the rows held flat in fields, row i having widths[i] fields.
-
-    Row i starts on line starts[i]. Skips rows whose fields are all blank
-    and rejects a row of the wrong width at its line. Returns the kept rows'
-    line numbers and flat fields.
-    """
-    linenos, kept, pos = [], [], 0
-    for lineno, w in zip(starts, widths):
-        row = fields[pos : pos + w]
-        pos += w
-        if not any(row):
-            continue
-        if w != width:
-            raise ParseError(f"{path}:{lineno}: expected {width} fields, got {w}")
-        linenos.append(lineno)
-        kept += row
-    return linenos, kept
-
-
 def _read_columns(path, expected_header: list[str], optional: set[str] = frozenset()):
     """Read a CSV file into one list of stripped field strings per column.
 
     Returns (path, line numbers of the data rows, {column name: fields}),
     columns in header order. Rows whose fields are all blank are skipped.
-    The file is streamed through csv.reader, so a quoted field keeps its
-    line breaks, and its rows are read into one flat field list, so no
-    container per row outlives the read. When every row is one line of the
-    header's width with a nonblank first field, the columns are plain
-    strided slices of that list; a row that spans lines is located by a
-    second read.
+    The file is streamed through csv.reader in one pass, so a quoted field
+    keeps its line breaks; the kept rows' fields go into one flat list,
+    stripped once at the end, and their start lines into an int64 array.
     """
     path = Path(path)
     header = read_header(path)
     required = [h for h in expected_header if h not in optional]
     width = len(header)
-    widths: list[int] = []
+    linenos = array.array("q")
     fields: list[str] = []
     try:
         with open(path, encoding="utf-8", newline="") as fh:
@@ -155,22 +115,26 @@ def _read_columns(path, expected_header: list[str], optional: set[str] = frozens
                     f"{','.join(expected_header)!r}"
                 )
             reader = csv.reader(fh)
+            lineno = 2
             try:
-                fields += map(str.strip, itertools.chain.from_iterable(_tally(reader, widths)))
+                for row in reader:
+                    if "".join(row).strip():
+                        if len(row) != width:
+                            fh.read()  # an undecodable byte anywhere is reported first
+                            raise ParseError(
+                                f"{path}:{lineno}: expected {width} fields, got {len(row)}"
+                            )
+                        linenos.append(lineno)
+                        fields += row
+                    lineno = reader.line_num + 2
             except csv.Error as exc:
-                # A bad row read before the error is reported first.
-                _kept_rows(path, width, widths, _row_lines(path, len(widths)), fields)
                 raise ParseError(f"{path}: {exc}") from exc
-            one_line_rows = reader.line_num == len(widths)
-            starts = range(2, len(widths) + 2) if one_line_rows else _row_lines(path, len(widths))
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    if one_line_rows and widths.count(width) == len(widths) and "" not in fields[::width]:
-        linenos = starts
-    else:
-        linenos, fields = _kept_rows(path, width, widths, starts, fields)
     if not linenos:
         raise ParseError(f"{path}: no data rows")
+    for start in range(0, len(fields), _BLOCK_ROWS):  # in place: temporaries stay small
+        fields[start : start + _BLOCK_ROWS] = map(str.strip, fields[start : start + _BLOCK_ROWS])
     return path, linenos, {name: fields[j::width] for j, name in enumerate(header)}
 
 
@@ -297,17 +261,27 @@ class IndividualRecords:
     @classmethod
     def from_records(cls, records) -> "IndividualRecords":
         """Columns of an IndividualRecord sequence; risk2 must be present on
-        all records or none, as in load_individuals."""
+        all records or none, and the first faulty record raises through the
+        checks load_individuals makes: outcome, risk1 range, risk2 range."""
         records = list(records)
         risk2 = [r.risk2 for r in records]
         blank = risk2.count(None)
         if 0 < blank < len(records):
             raise InvariantViolation("risk2 must be present on all records or none")
-        return cls(
+        columns = cls(
             risk1=np.array([r.risk1 for r in records], dtype=float),
             risk2=np.array(risk2, dtype=float) if risk2 and not blank else None,
             outcome=np.array([r.outcome for r in records]),
         )
+
+        def check(i: int) -> None:
+            risk1, risk2, outcome = next(itertools.islice(columns, i, None))  # as _faults saw them
+            if outcome not in (0, 1):
+                raise InvariantViolation(f"record {i}: outcome {outcome!r} must be 0 or 1")
+            _check_risks(f"record {i}", risk1, risk2)
+
+        _raise_first(_faults(columns.risk1, columns.risk2, columns.outcome), "record", check)
+        return columns
 
     def __len__(self) -> int:
         return len(self.risk1)
@@ -325,8 +299,14 @@ class IndividualRecords:
 def _faults(risk1: np.ndarray, risk2: np.ndarray | None, outcome: np.ndarray) -> np.ndarray:
     """True on each record with a risk that is not a number in [0, 1] (NaN
     where a field did not parse) or an outcome other than 0 or 1."""
-    faults = _outside_unit(risk1) | (outcome > 1)
+    faults = _outside_unit(risk1) | ((outcome != 0) & (outcome != 1))
     return faults if risk2 is None else faults | _outside_unit(risk2)
+
+
+def _check_risks(where: str, risk1: float, risk2: float | None) -> None:
+    for name, r in (("risk1", risk1), ("risk2", risk2)):
+        if r is not None and not 0.0 <= r <= 1.0:
+            raise RiskOutOfRange(f"{where}: {name} {r} outside [0, 1]")
 
 
 def _check_record(path, linenos, columns: dict[str, list[str]], i: int) -> None:
@@ -338,21 +318,24 @@ def _check_record(path, linenos, columns: dict[str, list[str]], i: int) -> None:
     risk2 = _parse_float(path, lineno, "risk2", risk2_text) if risk2_text else None
     if outcome_text not in ("0", "1"):
         raise ParseError(f"{path}:{lineno}: outcome {outcome_text!r} must be 0 or 1")
-    for name, r in (("risk1", risk1), ("risk2", risk2)):
-        if r is not None and not 0.0 <= r <= 1.0:
-            raise RiskOutOfRange(f"{path}:{lineno}: {name} {r} outside [0, 1]")
+    _check_risks(f"{path}:{lineno}", risk1, risk2)
 
 
 def load_individuals(path) -> IndividualRecords:
     """Load `risk1,risk2,outcome` CSV into columns; risk2 may be empty throughout.
 
-    numpy's reader takes a plain file, csv.reader every other one, and both
-    readers' columns go through one fault mask (_faults). A plain file with a
-    fault is read again by csv.reader; then the first faulty record in file
-    order raises through its own checks (_check_record). A risk2 column
-    filled on some rows only raises after that.
+    numpy's reader takes a plain file, with risk2 filled on every row or
+    blank on every row; csv.reader takes every other one. Both readers'
+    columns go through one fault mask (_faults). A plain file with a fault is
+    read again by csv.reader; then the first faulty record in file order
+    raises through its own checks (_check_record). A risk2 column filled on
+    some rows only raises after that.
     """
     plain = _plain_columns(path, INDIVIDUALS_HEADER, ("f8", "f8", "U2"))
+    if plain is None:  # risk2 as text: a filled field keeps its first character, never blank
+        single = _plain_columns(path, INDIVIDUALS_HEADER, ("f8", "U1", "U2"))
+        if single is not None and (single[1] == "").all():
+            plain = [single[0], None, single[2]]
     if plain is not None:
         risk1, risk2, outcome_text = plain
         ones = outcome_text == "1"

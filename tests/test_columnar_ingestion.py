@@ -1,6 +1,7 @@
 """Columnar record ingestion: contract, memory, and parity with row loaders
 and with sort-based quantile binning."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -15,6 +16,7 @@ from riskeval import (
     IndividualRecord,
     IndividualRecords,
     InvariantViolation,
+    RiskOutOfRange,
     bin_individuals,
     load_grouped,
     load_individuals,
@@ -76,6 +78,36 @@ class TestIndividualRecordsContract:
         assert len(records) == 2 and records == rows
         assert records.risk1.dtype == np.float64 and records.risk2.dtype == np.float64
 
+    @pytest.mark.parametrize("outcome", [2, 0.5, -1])
+    def test_outcome_other_than_0_or_1_is_rejected(self, outcome):
+        rows = [IndividualRecord(0.1, None, outcome), IndividualRecord(0.1, None, 0),
+                IndividualRecord(0.3, None, 1)]
+        for build in (IndividualRecords.from_records, bin_individuals):
+            with pytest.raises(InvariantViolation) as info:
+                build(rows)
+            assert type(info.value) is InvariantViolation
+            assert str(info.value) == f"record 0: outcome {outcome} must be 0 or 1"
+
+    def test_risk_outside_unit_interval_is_rejected(self):
+        rows = [IndividualRecord(r, None, y) for r, y in [(-0.1, 0), (0.3, 1), (0.5, 1), (0.7, 0)]]
+        with pytest.raises(RiskOutOfRange, match=r"^record 0: risk1 -0.1 outside \[0, 1\]$"):
+            bin_individuals(rows, scheme="quantiles", k=2)
+
+    @pytest.mark.parametrize(
+        "last, error, message",
+        [
+            ((1.5, 2.0, 3), InvariantViolation, "record 1: outcome 3 must be 0 or 1"),
+            ((1.5, 2.0, 1), RiskOutOfRange, "record 1: risk1 1.5 outside [0, 1]"),
+            ((0.5, float("nan"), 1), RiskOutOfRange, "record 1: risk2 nan outside [0, 1]"),
+        ],
+    )
+    def test_first_faulty_record_raises_its_first_check(self, last, error, message):
+        # The file loader's order: outcome, then risk1, then risk2.
+        rows = [IndividualRecord(0.2, 0.3, 0), IndividualRecord(*last), IndividualRecord(2.0, 0.1, 5)]
+        with pytest.raises(error) as info:
+            IndividualRecords.from_records(rows)
+        assert type(info.value) is error and str(info.value) == message
+
     @pytest.mark.parametrize("risk2", [(0.2, None), (None, 0.3)], ids=["first", "second"])
     def test_risk2_on_some_records_only_is_rejected(self, risk2):
         # As load_individuals rejects a risk2 column filled on some rows only.
@@ -99,7 +131,7 @@ class TestBinningParity:
 
 
 class TestRecordMemory:
-    # A filled risk2 column takes numpy's reader, a blank one csv.reader.
+    # numpy's reader takes a risk2 column filled on every row and one blank on every row.
     @pytest.mark.parametrize("risk2", [True, False])
     def test_load_and_bin_100k_records_stay_small(self, tmp_path, risk2):
         path = _records_file(tmp_path / "big.csv", 100_000, 11, risk2=risk2)
@@ -297,20 +329,43 @@ def _no_csv_reader(*args, **kwargs):
 
 
 @pytest.mark.parametrize("risk2", [True, False])
-def test_plain_records_skip_csv_reader_only_when_filled(tmp_path, monkeypatch, risk2):
+def test_plain_records_skip_csv_reader(tmp_path, monkeypatch, risk2):
+    # risk2 filled on every row or blank on every row: both files are plain.
     path = _records_file(tmp_path / "r.csv", 1000, 3, risk2=risk2)
-    by_csv = load_individuals(path)
+    lines = path.read_text().splitlines(keepends=True)
+    risk1, rest = lines[500].split(",", 1)
+    quoted = tmp_path / "q.csv"  # one quoted field sends the same records to csv.reader
+    quoted.write_text("".join(lines[:500] + [f'"{risk1}",{rest}'] + lines[501:]))
+    by_csv = load_individuals(quoted)
     monkeypatch.setattr(ingestion, "_read_columns", _no_csv_reader)
-    if not risk2:  # a blank field is not plain
-        with pytest.raises(AssertionError, match="csv.reader"):
-            load_individuals(path)
-        return
+    with pytest.raises(AssertionError, match="csv.reader"):
+        load_individuals(quoted)
     plain = load_individuals(path)
     assert plain == ref.load_individuals(path)
-    for name in ("risk1", "risk2", "outcome"):
+    assert (plain.risk2 is None) == (by_csv.risk2 is None) == (not risk2)
+    for name in ("risk1", "risk2", "outcome") if risk2 else ("risk1", "outcome"):
         got, want = getattr(plain, name), getattr(by_csv, name)
         assert got.dtype == want.dtype and got.flags.c_contiguous
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["grouped", "individuals"])
+@pytest.mark.parametrize("bad_byte_first", [False, True])
+def test_undecodable_byte_is_reported_before_a_short_row(tmp_path, kind, bad_byte_first):
+    # The byte lies far more than one decode chunk past the short row, so
+    # the reader meets the short row first and must still report the byte.
+    path = tmp_path / f"{kind}.csv"
+    valid, short, bad = b"0.1,0.5,1\n", b"0.1,0.5\n", b"0.1,0.5,\xff\n"
+    head = [bad, short] if bad_byte_first else [short]
+    tail = [] if bad_byte_first else [bad]
+    body = b"".join(head + [valid] * 20_000 + tail)
+    path.write_bytes(",".join(HEADERS[kind]).encode() + b"\n" + body)
+    new, old = LOADERS[kind]
+    # The decoder counts the position from the start of its chunk, not of the file.
+    got, want = (_outcome(f, path) for f in (new, old))
+    assert got[:2] == ("raised", ingestion.ParseError) and got[2].startswith(f"cannot read {path}:")
+    assert got[:2] == want[:2]
+    assert re.sub(r"position \d+", "", got[2]) == re.sub(r"position \d+", "", want[2])
 
 
 def test_plain_tables_skip_csv_reader(tmp_path, monkeypatch):
