@@ -11,6 +11,7 @@ pass, and reports the first fault in file order.
 """
 
 import array
+import contextlib
 import csv
 import functools
 import itertools
@@ -54,6 +55,12 @@ INDIVIDUALS_HEADER = ["risk1", "risk2", "outcome"]
 CROSS_DECILE_HEADER = ["decile1", "decile2", "person_years", "cases"]
 
 
+def _check_finite(**values: float) -> None:
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise NonFiniteValue(f"non-finite {name} {x}")
+
+
 def ten_year_risk(incidence: float, mortality: float, horizon: float) -> float:
     """Absolute outcome risk over a horizon under competing mortality.
 
@@ -64,9 +71,7 @@ def ten_year_risk(incidence: float, mortality: float, horizon: float) -> float:
     is taken of the halved rates, which is the same ratio.
     """
     lam, mu, t = float(incidence), float(mortality), float(horizon)
-    for name, x in (("incidence", lam), ("mortality", mu), ("horizon", t)):
-        if not math.isfinite(x):
-            raise NonFiniteValue(f"non-finite {name} {x}")
+    _check_finite(incidence=lam, mortality=mu, horizon=t)
     if lam < 0.0 or mu < 0.0:
         raise NegativeRate(f"rates must be nonnegative, got incidence {lam}, mortality {mu}")
     if t <= 0.0:
@@ -78,13 +83,23 @@ def ten_year_risk(incidence: float, mortality: float, horizon: float) -> float:
     return -ratio * math.expm1(-total * t)
 
 
+def _cannot_read(path, exc: Exception) -> ParseError:
+    """ParseError for an unreadable file; a decode error is named at its offset in the file."""
+    if isinstance(exc, UnicodeDecodeError):
+        try:
+            Path(path).read_bytes().decode("utf-8")
+        except (OSError, UnicodeDecodeError) as whole:
+            exc = whole
+    return ParseError(f"cannot read {path}: {exc}")
+
+
 def read_header(path) -> list[str]:
     """Stripped fields of a CSV file's first line (empty for an empty file)."""
     try:
         with open(path, encoding="utf-8") as fh:
             fields = next(csv.reader([fh.readline()]))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise _cannot_read(path, exc) from exc
     return [h.strip() for h in fields]
 
 
@@ -98,7 +113,7 @@ def _read_columns(path, expected_header: list[str], optional: set[str] = frozens
     stripped once at the end, and their start lines into an int64 array.
     """
     path = Path(path)
-    header = read_header(path)
+    header, expected = read_header(path), ",".join(expected_header)
     required = [h for h in expected_header if h not in optional]
     width = len(header)
     linenos = array.array("q")
@@ -106,14 +121,9 @@ def _read_columns(path, expected_header: list[str], optional: set[str] = frozens
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             if not fh.readline():
-                raise ParseError(
-                    f"{path}: empty file, expected header {','.join(expected_header)}"
-                )
+                raise ParseError(f"{path}: empty file, expected header {expected}")
             if header != expected_header and header != required:
-                raise ParseError(
-                    f"{path}: header {','.join(header)!r} does not match "
-                    f"{','.join(expected_header)!r}"
-                )
+                raise ParseError(f"{path}: header {','.join(header)!r} does not match {expected!r}")
             reader = csv.reader(fh)
             lineno = 2
             try:
@@ -128,9 +138,10 @@ def _read_columns(path, expected_header: list[str], optional: set[str] = frozens
                         fields += row
                     lineno = reader.line_num + 2
             except csv.Error as exc:
+                fh.read()  # as for a row of the wrong width
                 raise ParseError(f"{path}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise _cannot_read(path, exc) from exc
     if not linenos:
         raise ParseError(f"{path}: no data rows")
     for start in range(0, len(fields), _BLOCK_ROWS):  # in place: temporaries stay small
@@ -147,6 +158,13 @@ def _loadable(data: bytes) -> bool:
         if not start:
             return False
     return b"\0" not in data
+
+
+def _first_row(path) -> list[str]:
+    """A file's first non-blank line after the header, split at commas."""
+    with contextlib.suppress(OSError), open(path, encoding="utf-8", errors="replace") as fh:
+        return next(filter(str.strip, itertools.islice(fh, 1, None)), "").split(",")
+    return []  # an unreadable file is left for the readers to report
 
 
 def _plain_columns(path, header: list[str], formats: tuple[str, ...]) -> list[np.ndarray] | None:
@@ -249,39 +267,37 @@ class IndividualRecords:
     """Person-level records held as columns, one array per field.
 
     risk1 is float64; risk2 is float64, or None when no record carries a
-    second risk; outcome holds 0/1. Iteration yields IndividualRecord tuples
-    of Python floats and ints (risk2 None when absent), and the records
-    compare equal to the list of those tuples.
+    second risk; outcome holds 0/1. Construction checks outcomes and risk
+    ranges. Iteration yields IndividualRecord tuples of Python floats and
+    ints (risk2 None when absent), and the records equal the list of them.
     """
 
     risk1: np.ndarray
     risk2: np.ndarray | None
     outcome: np.ndarray
 
+    def __post_init__(self):
+        def check(i: int) -> None:
+            risk1, risk2, outcome = next(itertools.islice(self, i, None))  # as _faults saw them
+            if outcome not in (0, 1):
+                raise InvariantViolation(f"record {i}: outcome {outcome!r} must be 0 or 1")
+            _check_risks(f"record {i}", risk1, risk2)
+
+        _raise_first(_faults(self.risk1, self.risk2, self.outcome), "record", check)
+
     @classmethod
     def from_records(cls, records) -> "IndividualRecords":
-        """Columns of an IndividualRecord sequence; risk2 must be present on
-        all records or none, and the first faulty record raises through the
-        checks load_individuals makes: outcome, risk1 range, risk2 range."""
+        """Columns of IndividualRecord tuples; risk2 must be on all records or none."""
         records = list(records)
         risk2 = [r.risk2 for r in records]
         blank = risk2.count(None)
         if 0 < blank < len(records):
             raise InvariantViolation("risk2 must be present on all records or none")
-        columns = cls(
+        return cls(
             risk1=np.array([r.risk1 for r in records], dtype=float),
             risk2=np.array(risk2, dtype=float) if risk2 and not blank else None,
             outcome=np.array([r.outcome for r in records]),
         )
-
-        def check(i: int) -> None:
-            risk1, risk2, outcome = next(itertools.islice(columns, i, None))  # as _faults saw them
-            if outcome not in (0, 1):
-                raise InvariantViolation(f"record {i}: outcome {outcome!r} must be 0 or 1")
-            _check_risks(f"record {i}", risk1, risk2)
-
-        _raise_first(_faults(columns.risk1, columns.risk2, columns.outcome), "record", check)
-        return columns
 
     def __len__(self) -> int:
         return len(self.risk1)
@@ -325,22 +341,21 @@ def load_individuals(path) -> IndividualRecords:
     """Load `risk1,risk2,outcome` CSV into columns; risk2 may be empty throughout.
 
     numpy's reader takes a plain file, with risk2 filled on every row or
-    blank on every row; csv.reader takes every other one. Both readers'
-    columns go through one fault mask (_faults). A plain file with a fault is
-    read again by csv.reader; then the first faulty record in file order
-    raises through its own checks (_check_record). A risk2 column filled on
-    some rows only raises after that.
+    blank on every row as on the first; csv.reader takes every other one.
+    Both readers' columns go through one fault mask (_faults). A plain file
+    whose records fail it is read again by csv.reader; then the first faulty
+    record in file order raises through its own checks (_check_record). A
+    risk2 column filled on some rows only raises after that.
     """
-    plain = _plain_columns(path, INDIVIDUALS_HEADER, ("f8", "f8", "U2"))
-    if plain is None:  # risk2 as text: a filled field keeps its first character, never blank
-        single = _plain_columns(path, INDIVIDUALS_HEADER, ("f8", "U1", "U2"))
-        if single is not None and (single[1] == "").all():
-            plain = [single[0], None, single[2]]
+    single = _first_row(path)[1:2] == [""]  # risk2 as text: a filled field is never blank
+    plain = _plain_columns(path, INDIVIDUALS_HEADER, ("f8", "U1" if single else "f8", "U2"))
+    if plain is not None and single:
+        plain = [plain[0], None, plain[2]] if (plain[1] == "").all() else None
     if plain is not None:
         risk1, risk2, outcome_text = plain
         ones = outcome_text == "1"
         outcome = np.where(ones | (outcome_text == "0"), ones.view(np.uint8), np.uint8(2))
-        if not _faults(risk1, risk2, outcome).any():
+        with contextlib.suppress(InvariantViolation):  # else csv.reader's checks name the line
             return IndividualRecords(risk1=risk1, risk2=risk2, outcome=outcome)
     path, linenos, columns = _read_columns(path, INDIVIDUALS_HEADER)
     risk1_texts, risk2_texts, outcome_texts = columns.values()
@@ -487,6 +502,7 @@ class CrossDecileTable:
 def read_cross_decile(path, mortality: float, horizon: float) -> CrossDecileTable:
     """Parse `decile1,decile2,person_years,cases` CSV without converting."""
     mortality, horizon = float(mortality), float(horizon)
+    _check_finite(mortality=mortality, horizon=horizon)
     if mortality < 0.0:
         raise NegativeRate(f"mortality {mortality} must be nonnegative")
     if horizon <= 0.0:

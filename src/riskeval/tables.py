@@ -8,9 +8,9 @@ A joint table cross-classifies two models over the same population.
 Tables hold numpy columns with one entry per group or cell: keys (a
 KeyColumn: integer codes into a vocabulary of labels, coded once when a table
 is built or loaded), assigned risks, masses and prevalences. The `key`/`key1`/
-`key2` object arrays of str, `groups` and `cells` rows, and the `keys`/
-`risks`/`masses`/`prevalences` tuples are read-only views built on demand;
-every computation, merging and matching keys included, reads the columns.
+`key2` object arrays of str and the `groups` and `cells` rows are read-only
+views built on demand; every computation, merging and matching keys
+included, reads the columns.
 
 Group keys are identity. Entries that share a key are one group; distinct
 keys stay distinct groups even when their assigned risks are equal, so a
@@ -293,25 +293,8 @@ class GroupedModelTable(_RowView):
 
     @property
     def groups(self) -> tuple[Group, ...]:
-        return tuple(
-            map(Group, self.keys, self.risks, self.masses, self.prevalences)
-        )
-
-    @property
-    def risks(self) -> tuple[float, ...]:
-        return tuple(self.risk.tolist())
-
-    @property
-    def masses(self) -> tuple[float, ...]:
-        return tuple(self.mass.tolist())
-
-    @property
-    def prevalences(self) -> tuple[float, ...]:
-        return tuple(self.prevalence.tolist())
-
-    @property
-    def keys(self) -> tuple[str, ...]:
-        return tuple(self.key.tolist())
+        columns = (self.key, self.risk, self.mass, self.prevalence)
+        return tuple(map(Group, *(col.tolist() for col in columns)))
 
 
 def make_grouped_table(

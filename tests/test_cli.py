@@ -205,6 +205,16 @@ class TestEval:
         assert main(["eval", str(tmp_path / "gone.csv")]) == 2
         assert "does not exist" in capsys.readouterr().err
 
+    def test_output_path_that_is_a_file_exits_2(self, tmp_path, capsys):
+        src, taken = tmp_path / "b1.csv", tmp_path / "taken"
+        src.write_text(MODEL1_B_CSV)
+        taken.write_text("kept\n")
+        assert main(["eval", str(src), "--out", str(taken)]) == 2
+        out, err = capsys.readouterr()
+        assert "wrote" not in out
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(taken) in err
+        assert taken.read_text() == "kept\n"
+
     def test_internal_invariant_exit_code(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "b1.csv"
         src.write_text(MODEL1_B_CSV)
@@ -273,6 +283,16 @@ class TestCompare:
         assert "--mortality" in capsys.readouterr().err
         out_code = main(["compare", path, "--mortality", "0.0053", "--horizon", "10"])
         assert out_code == 0
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", ["mortality", "horizon"])
+    def test_cross_decile_non_finite_rate(self, tmp_path, capsys, name, value):
+        rates = {"mortality": "0.0053", "horizon": "10", name: value}
+        path = str(riskeval.example_cross_decile_path())
+        argv = ["compare", path, *(f"--{k}={v}" for k, v in rates.items())]  # = takes -inf
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr() == ("", f"error: non-finite {name} {float(value)}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_cross_decile_report(self, tmp_path, capsys):
         path = str(riskeval.example_cross_decile_path())

@@ -1,7 +1,7 @@
 """Columnar record ingestion: contract, memory, and parity with row loaders
 and with sort-based quantile binning."""
 
-import re
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -107,6 +107,17 @@ class TestIndividualRecordsContract:
         with pytest.raises(error) as info:
             IndividualRecords.from_records(rows)
         assert type(info.value) is error and str(info.value) == message
+
+    def test_records_built_from_arrays_are_checked(self):
+        with pytest.raises(InvariantViolation) as info:
+            IndividualRecords(risk1=np.array([0.1, 0.1, 0.3]), risk2=None,
+                              outcome=np.array([2, 0, 1]))
+        assert str(info.value) == "record 0: outcome 2 must be 0 or 1"
+        records = IndividualRecords(risk1=np.array([0.1, 0.3]), risk2=np.array([0.2, 0.4]),
+                                    outcome=np.array([0, 1], dtype=np.uint8))
+        with pytest.raises(RiskOutOfRange, match=r"^record 1: risk2 1.5 outside \[0, 1\]$"):
+            dataclasses.replace(records, risk2=np.array([0.2, 1.5]))
+        assert dataclasses.replace(records, risk2=None) == [(0.1, None, 0), (0.3, None, 1)]
 
     @pytest.mark.parametrize("risk2", [(0.2, None), (None, 0.3)], ids=["first", "second"])
     def test_risk2_on_some_records_only_is_rejected(self, risk2):
@@ -352,20 +363,42 @@ def test_plain_records_skip_csv_reader(tmp_path, monkeypatch, risk2):
 @pytest.mark.parametrize("kind", ["grouped", "individuals"])
 @pytest.mark.parametrize("bad_byte_first", [False, True])
 def test_undecodable_byte_is_reported_before_a_short_row(tmp_path, kind, bad_byte_first):
-    # The byte lies far more than one decode chunk past the short row, so
-    # the reader meets the short row first and must still report the byte.
+    # The byte lies far more than one decode chunk past the earlier fault (a
+    # short row, or a field over csv.reader's size limit), so the reader meets
+    # that fault first and must still report the byte, at its place in the file.
     path = tmp_path / f"{kind}.csv"
-    valid, short, bad = b"0.1,0.5,1\n", b"0.1,0.5\n", b"0.1,0.5,\xff\n"
-    head = [bad, short] if bad_byte_first else [short]
-    tail = [] if bad_byte_first else [bad]
-    body = b"".join(head + [valid] * 20_000 + tail)
-    path.write_bytes(",".join(HEADERS[kind]).encode() + b"\n" + body)
+    valid, bad = b"0.1,0.5,1\n", b"0.1,0.5,\xff\n"
     new, old = LOADERS[kind]
-    # The decoder counts the position from the start of its chunk, not of the file.
-    got, want = (_outcome(f, path) for f in (new, old))
-    assert got[:2] == ("raised", ingestion.ParseError) and got[2].startswith(f"cannot read {path}:")
-    assert got[:2] == want[:2]
-    assert re.sub(r"position \d+", "", got[2]) == re.sub(r"position \d+", "", want[2])
+    for fault in (b"0.1,0.5\n", b"0.1," + b"1" * 200_000 + b",1\n"):
+        head = [bad, fault] if bad_byte_first else [fault]
+        tail = [] if bad_byte_first else [bad]
+        body = b"".join(head + [valid] * 20_000 + tail)
+        path.write_bytes(",".join(HEADERS[kind]).encode() + b"\n" + body)
+        got, want = (_outcome(f, path) for f in (new, old))
+        assert got[:2] == ("raised", ingestion.ParseError)
+        assert got[2].startswith(f"cannot read {path}:")
+        assert got == want
+
+
+def test_records_file_is_read_by_numpy_once(tmp_path, monkeypatch):
+    filled = _records_file(tmp_path / "f.csv", 1000, 5)
+    blank = _records_file(tmp_path / "b.csv", 1000, 5, risk2=False)
+    lines = filled.read_text().splitlines(keepends=True)
+    risk1, rest = lines[-1].split(",", 1)
+    quoted = tmp_path / "q.csv"  # numpy's reader rejects it on its last row
+    quoted.write_text("".join(lines[:-1] + [f'"{risk1}",{rest}']))
+    calls = []
+    plain_columns = ingestion._plain_columns
+
+    def counted(*args):
+        calls.append(args)
+        return plain_columns(*args)
+
+    monkeypatch.setattr(ingestion, "_plain_columns", counted)
+    for path in (filled, blank, quoted):
+        calls.clear()
+        assert load_individuals(path) == ref.load_individuals(path)
+        assert len(calls) == 1, path.name
 
 
 def test_plain_tables_skip_csv_reader(tmp_path, monkeypatch):

@@ -123,7 +123,7 @@ def test_joint_tables_match_row_builder(cells, data):
     (new1, old1), (new2, old2) = margins
     _same(compare, ref.compare, (new1, new2), (old1, old2))
     _same(transfer_calibration, ref.transfer_calibration, (new1, new1), (old1, old1))
-    risks = [dict(zip(t.keys, t.risks)) for t in (new1, new2)]
+    risks = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in (new1, new2)]
     which = data.draw(st.sampled_from([None, 0, 1]))
     if which is not None:
         key = data.draw(st.sampled_from(sorted(risks[which])))
@@ -137,7 +137,7 @@ def test_joint_tables_match_row_builder(cells, data):
 class TestViews:
     def test_views_are_read_only_and_typed(self):
         table = make_grouped_table([("b", 0.2, 0.5, 0.1), ("a", 0.2, 0.5, 0.3)])
-        assert table.keys == ("a", "b") and table.risks == (0.2, 0.2)
+        assert table.key.tolist() == ["a", "b"] and table.risk.tolist() == [0.2, 0.2]
         assert all(type(x) is float for g in table.groups for x in (g.risk, g.mass, g.prevalence))
         with pytest.raises(ValueError):
             table.mass[0] = 1.0
@@ -150,7 +150,7 @@ class TestViews:
         assert t1 != make_grouped_table([("a", 0.1, 0.25, 0.5), ("b", 0.3, 0.75, 0.25)])
 
     def test_cell_bias_table_is_a_sequence_of_rows(self, joint_b, model1_b, model2_b):
-        risks = [dict(zip(t.keys, t.risks)) for t in (model1_b, model2_b)]
+        risks = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in (model1_b, model2_b)]
         table = cross_classified_bias(joint_b, *risks)
         rows = list(table)
         assert len(table) == len(rows) == 9 and all(isinstance(r, CellBias) for r in rows)
@@ -184,8 +184,7 @@ def _raise(self):
 
 @pytest.fixture
 def column_only(monkeypatch):
-    for view in ("groups", "keys", "risks", "masses", "prevalences"):
-        monkeypatch.setattr(riskeval.GroupedModelTable, view, property(_raise))
+    monkeypatch.setattr(riskeval.GroupedModelTable, "groups", property(_raise))
     monkeypatch.setattr(riskeval.JointModelTable, "cells", property(_raise))
 
 
@@ -250,7 +249,7 @@ def test_compare_tables_memory_is_bounded(tmp_path):
     try:
         joint = load_joint(path)
         table1, table2 = joint.marginal(1), joint.marginal(2)
-        risks = [dict(zip(t.keys, t.risks)) for t in (table1, table2)]
+        risks = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in (table1, table2)]
         cross_classified_bias(joint, *risks)
         _, peak = tracemalloc.get_traced_memory()
     finally:

@@ -105,12 +105,12 @@ class TestCompare:
 class TestTransferCalibration:
     def test_risks_from_source_rest_from_target(self, model1_a, model1_b):
         table = transfer_calibration(model1_a, model1_b)
-        assert set(table.keys) == set(TRANSFER_1_ROWS)
+        assert set(table.key.tolist()) == set(TRANSFER_1_ROWS)
         for g in table.groups:
             risk, prev = TRANSFER_1_ROWS[g.key]
             assert abs(g.risk - risk) <= TOL
             assert abs(g.prevalence - prev) <= TOL
-        assert abs(math.fsum(table.masses) - 1.0) <= TOL
+        assert abs(math.fsum(table.mass) - 1.0) <= TOL
 
     def test_worked_example_biases(self, model1_a, model1_b, model2_a, model2_b):
         bias1 = calibration_bias_sq(transfer_calibration(model1_a, model1_b))
@@ -126,7 +126,7 @@ class TestTransferCalibration:
         source = make_grouped_table([("a", 0.2, 0.5, 0.1), ("b", 0.3, 0.5, 0.1)])
         target = make_grouped_table([("a", 0.2, 0.5, 0.05), ("b", 0.3, 0.5, 0.25)])
         table = transfer_calibration(source, target)
-        assert table.keys == ("a", "b")
+        assert table.key.tolist() == ["a", "b"]
         assert abs(calibration_bias_sq(table) - 0.0125) <= TOL
 
     def test_key_mismatch_rejected(self, model1_a, model2_a):
@@ -179,13 +179,13 @@ class TestCrossClassifiedBias:
         late, early = joint_b.key1[5], joint_b.key2[3]
         renamed = [
             make_grouped_table(
-                (k + "?" if k == key else k, r, m, p)
-                for k, r, m, p in zip(t.keys, t.risks, t.masses, t.prevalences)
+                (g.key + "?" if g.key == key else g.key, g.risk, g.mass, g.prevalence)
+                for g in t.groups
             )
             for t, key in ((model1_b, late), (model2_b, early))
         ]
-        mappings = [dict(zip(t.keys, t.risks)) for t in renamed]
-        out_of_range = dict(zip(model2_b.keys, model2_b.risks), **{early: 1.5})
+        mappings = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in renamed]
+        out_of_range = dict(zip(model2_b.key.tolist(), model2_b.risk.tolist()), **{early: 1.5})
         for risks1, risks2, error in (
             (renamed[0], renamed[1], MissingAssignment),
             (renamed[0], model2_b, MissingAssignment),
@@ -194,7 +194,8 @@ class TestCrossClassifiedBias:
             with pytest.raises(error) as got:
                 cross_classified_bias(joint_b, risks1, risks2)
             as_mapping = [
-                dict(zip(r.keys, r.risks)) if isinstance(r, GroupedModelTable) else r
+                r if not isinstance(r, GroupedModelTable)
+                else dict(zip(r.key.tolist(), r.risk.tolist()))
                 for r in (risks1, risks2)
             ]
             with pytest.raises(error) as want:

@@ -141,7 +141,7 @@ class TestLoadGrouped:
         path.write_text("risk,mass\n0.1,0.6\n0.3,0.4\n")
         table = load_grouped(path)
         assert table.declared_calibrated
-        assert table.prevalences == table.risks
+        assert table.prevalence.tolist() == table.risk.tolist()
 
     def test_empty_prevalence_fields_declare_calibrated(self, tmp_path):
         path = tmp_path / "nc2.csv"
@@ -320,15 +320,15 @@ class TestBinIndividuals:
             assert g.mass == 0.1
             assert abs(g.risk - risks[chunk].mean()) <= TOL
             assert abs(g.prevalence - outcomes[chunk].mean()) <= TOL
-        assert grouped.keys == tuple(f"q{i:02d}" for i in range(1, 11))
+        assert grouped.key.tolist() == [f"q{i:02d}" for i in range(1, 11)]
 
     def test_ties_go_to_the_lower_bin(self):
         records = [IndividualRecord(0.1, None, 0)] * 7 + [
             IndividualRecord(0.2, None, 1)
         ] * 3
         grouped, _ = bin_individuals(records, scheme="quantiles", k=2)
-        assert grouped.masses == (0.7, 0.3)
-        assert grouped.keys == ("q1", "q2")
+        assert grouped.mass.tolist() == [0.7, 0.3]
+        assert grouped.key.tolist() == ["q1", "q2"]
 
     def test_tie_run_can_empty_a_bin(self):
         # nine ties push both cut points to index 9; the middle bin vanishes
@@ -336,10 +336,10 @@ class TestBinIndividuals:
             IndividualRecord(r, None, 1) for r in (0.2, 0.3, 0.4)
         ]
         grouped, _ = bin_individuals(records, scheme="quantiles", k=3)
-        assert grouped.keys == ("q1", "q3")
-        assert grouped.masses == (0.75, 0.25)
-        assert abs(grouped.risks[0] - 0.1) <= TOL
-        assert abs(grouped.risks[1] - 0.3) <= TOL
+        assert grouped.key.tolist() == ["q1", "q3"]
+        assert grouped.mass.tolist() == [0.75, 0.25]
+        assert abs(grouped.risk[0] - 0.1) <= TOL
+        assert abs(grouped.risk[1] - 0.3) <= TOL
 
     def test_joint_table_from_paired_risks(self):
         base = [
@@ -358,9 +358,9 @@ class TestBinIndividuals:
     def test_law_of_large_numbers_recovery(self, model1_b):
         n = 1_000_000
         rng = np.random.default_rng(424242)
-        risks = np.array(model1_b.risks)
-        masses = np.array(model1_b.masses)
-        prevs = np.array(model1_b.prevalences)
+        risks = model1_b.risk
+        masses = model1_b.mass
+        prevs = model1_b.prevalence
         idx = rng.choice(len(risks), size=n, p=masses / masses.sum())
         outcomes = (rng.random(n) < prevs[idx]).astype(int)
         records = [
@@ -402,7 +402,7 @@ class TestCrossDecile:
             assert abs(row.sd - sd) <= TOL
             assert abs(row.risk - risk) <= TOL
         m1 = joint.marginal(1)
-        assert m1.keys == tuple(f"d{i:02d}" for i in range(1, 11))
+        assert m1.key.tolist() == [f"d{i:02d}" for i in range(1, 11)]
         for g in m1.groups:
             assert abs(g.mass - 0.1) <= TOL
 
@@ -438,6 +438,14 @@ class TestCrossDecile:
         allskipped.write_text("decile1,decile2,person_years,cases\n1,1,0,0\n")
         with pytest.raises(EmptyInput):
             read_cross_decile(allskipped, 0.0053, 10)
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("name", ["mortality", "horizon"])
+    def test_non_finite_rate_is_rejected_before_reading(self, tmp_path, name, value):
+        rates = {"mortality": 0.0053, "horizon": 10.0, name: float(value)}
+        with pytest.raises(NonFiniteValue) as got:
+            read_cross_decile(tmp_path / "never_read.csv", **rates)
+        assert str(got.value) == f"non-finite {name} {float(value)}"
 
     def test_validation(self, tmp_path):
         path = tmp_path / "x.csv"

@@ -144,7 +144,7 @@ def test_signed_zero_keys_stay_apart(tmp_path):
     path = tmp_path / "grouped.csv"
     path.write_text("risk,mass,prevalence\n0.0,0.5,0.25\n-0.0,0.25,0.5\n0,0.25,0.75\n")
     table = load_grouped(path)
-    assert table.keys == ("-0", "0") and table.masses == (0.25, 0.75)
+    assert table.key.tolist() == ["-0", "0"] and table.mass.tolist() == [0.25, 0.75]
 
 
 def test_labels_across_blocks_in_bounded_memory():
@@ -186,11 +186,11 @@ def test_three_file_compare_matches_the_mappings(seed, data):
         joint = load_joint(paths[2])
         mean = joint.population_mean
         for path, margin, extra in zip(paths, (joint.marginal(1), joint.marginal(2)), (0.05, 5e-5)):
-            masses = [m * 0.875 for m in margin.masses]  # room for a group the joint table lacks
-            rows = list(zip(margin.risks, masses, margin.prevalences))
+            masses = (margin.mass * 0.875).tolist()  # room for a group the joint table lacks
+            rows = list(zip(margin.risk.tolist(), masses, margin.prevalence.tolist()))
             _write_csv(path, "risk,mass,prevalence", rows[::-1] + [(extra, 0.125, mean)])
         tables = [load_grouped(p) for p in paths[:2]]
-        mappings = [dict(zip(t.keys, t.risks)) for t in tables]
+        mappings = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in tables]
         assert all(len(m) > len(set(keys)) for m, keys in zip(mappings, (joint.key1, joint.key2)))
         got = cross_classified_bias(joint, *tables).columns()
         want = cross_classified_bias(joint, *mappings).columns()
@@ -204,14 +204,14 @@ def test_three_file_compare_matches_the_mappings(seed, data):
         # labels), and a mapping with one risk out of range.
         renamed, picked = [], []
         for path, table, keys in zip(paths, tables, (joint.key1, joint.key2)):
-            used = [i for i, key in enumerate(table.keys) if key in set(keys.tolist())]
+            used = [i for i, key in enumerate(table.key.tolist()) if key in set(keys.tolist())]
             at = data.draw(st.sampled_from(used))
-            rows = list(zip(table.risks, table.masses, table.prevalences))
+            rows = list(zip(table.risk.tolist(), table.mass.tolist(), table.prevalence.tolist()))
             r, m, p = rows[at]
             rows[at] = (r + 3e-5 if r < 0.5 else r - 3e-5, m, p)
             _write_csv(path, "risk,mass,prevalence", rows)
             renamed.append(load_grouped(path))
-            picked.append(table.keys[at])
+            picked.append(table.key[at])
         out_of_range = dict(mappings[1], **{picked[1]: 1.5})
         for risks1, risks2, error in (
             (renamed[0], renamed[1], MissingAssignment),
@@ -219,7 +219,8 @@ def test_three_file_compare_matches_the_mappings(seed, data):
             (tables[0], out_of_range, RiskOutOfRange),
         ):
             as_mapping = [
-                r if isinstance(r, dict) else dict(zip(r.keys, r.risks)) for r in (risks1, risks2)
+                r if isinstance(r, dict) else dict(zip(r.key.tolist(), r.risk.tolist()))
+                for r in (risks1, risks2)
             ]
             want_error = _outcome(cross_classified_bias, joint, *as_mapping)
             assert want_error[:2] == ("raised", error)

@@ -54,14 +54,14 @@ class TestGroupKeys:
         table = make_grouped_table(
             [("b", 0.2, 0.25, 0.1), ("c", 0.1, 0.25, 0.3), ("a", 0.2, 0.5, 0.3)]
         )
-        assert table.keys == ("c", "a", "b")
-        assert table.risks == (0.1, 0.2, 0.2)
-        assert table.prevalences == (0.3, 0.3, 0.1)
+        assert table.key.tolist() == ["c", "a", "b"]
+        assert table.risk.tolist() == [0.1, 0.2, 0.2]
+        assert table.prevalence.tolist() == [0.3, 0.3, 0.1]
 
     def test_repeated_key_is_one_group(self):
         table = make_grouped_table([("k", 0.2, 0.5, 0.1), ("k", 0.2, 0.5, 0.3)])
-        assert table.keys == ("k",)
-        assert table.masses == (1.0,)
+        assert table.key.tolist() == ["k"]
+        assert table.mass.tolist() == [1.0]
         assert abs(table.groups[0].prevalence - 0.2) <= TOL
 
     def test_repeated_key_with_conflicting_risks_rejected(self):
@@ -78,8 +78,8 @@ class TestGroupKeys:
             ]
         )
         marginal = joint.marginal(2)
-        assert marginal.keys == ("x", "y")
-        assert marginal.masses == (0.5, 0.5)
+        assert marginal.key.tolist() == ["x", "y"]
+        assert marginal.mass.tolist() == [0.5, 0.5]
 
 
 class TestBrierDecomposition:
