@@ -233,7 +233,7 @@ def cmd_synth(args: argparse.Namespace, writer: Writer) -> None:
         dist = risk_distribution(pop)
         writer.add_text(
             f"risk_distribution_alpha{alabel}.csv",
-            format_csv(("risk", "mass"), columns=np.array(dist.points).T),
+            format_csv(("risk", "mass"), columns=(dist.risk, dist.mass)),
         )
         for subset in subsets:
             name, table = _subset_label(subset), tables[(alpha, subset)]

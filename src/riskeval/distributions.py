@@ -6,7 +6,8 @@ heterogeneity and is bounded above by mean*(1 - mean).
 
 The package's exact sums live here too: `_exact_sum` and `_exact_sums` give
 math.fsum's bits for a whole array or for each of its contiguous segments.
-So does the one merge kernel, `_merge`, for table keys and tied risks alike.
+So do the one merge kernel, `_merge`, for table keys and tied risks alike,
+and `_RowView`, the row-view equality, hash and repr of distributions and tables.
 """
 
 import math
@@ -148,31 +149,54 @@ def _merge_ties(risk: np.ndarray, mass: np.ndarray):
     return tie, total, point
 
 
-@dataclass(frozen=True)
-class RiskDistribution:
-    """Finite support distribution of true risk.
+class _RowView:
+    """Equality, hash and repr through the row view, as for a table of rows."""
 
-    points holds (risk, mass) pairs sorted by risk, masses positive and
-    neighbouring risks more than 1e-12 apart (risks joined by a chain of gaps
-    of at most 1e-12 are one point). Construct with make_distribution.
+    _repr_fields: tuple[str, ...]
+    _compare_fields: tuple[str, ...]
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+    def _compared(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._compare_fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
+        return f"{type(self).__name__}({fields})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class RiskDistribution(_RowView):
+    """Finite support distribution of true risk; construct with make_distribution.
+
+    Columns risk and mass are sorted by risk, masses positive and neighbouring
+    risks more than 1e-12 apart (risks joined by a chain of gaps of at most
+    1e-12 are one point). points, the (risk, mass) pairs, is a view.
     """
 
-    points: tuple[tuple[float, float], ...]
+    risk: np.ndarray
+    mass: np.ndarray
 
-    @property
-    def risks(self) -> tuple[float, ...]:
-        return tuple(p for p, _ in self.points)
-
-    @property
-    def masses(self) -> tuple[float, ...]:
-        return tuple(f for _, f in self.points)
+    _repr_fields = _compare_fields = ("points",)
+    points = property(lambda self: tuple(zip(self.risk.tolist(), self.mass.tolist())))
 
     def mean(self) -> float:
-        return math.fsum(p * f for p, f in self.points)
+        return _exact_sum(self.risk * self.mass)
 
     def variance(self) -> float:
-        m = self.mean()
-        return math.fsum(f * ((p - m) * (p - m)) for p, f in self.points)
+        d = self.risk - self.mean()
+        return _exact_sum(self.mass * (d * d))
 
 
 def make_distribution(points) -> RiskDistribution:
@@ -191,7 +215,7 @@ def make_distribution(points) -> RiskDistribution:
         raise EmptyInput("all support points have zero mass")
     _check_total_mass(f for _, f in pairs)
     _, mass, risk = _merge_ties(*np.array(sorted(pairs)).T)
-    return RiskDistribution(points=tuple(zip(risk.tolist(), mass.tolist())))
+    return RiskDistribution(risk, mass)
 
 
 def constant_distribution(pi: float) -> RiskDistribution:

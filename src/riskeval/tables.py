@@ -27,6 +27,7 @@ import numpy as np
 from .distributions import (
     RISK_MERGE_TOL,
     RiskDistribution,
+    _RowView,
     _check_mass,
     _check_total_mass,
     _check_unit_interval,
@@ -230,33 +231,6 @@ def _build(entries, risk_names, empty_message):
     return [k[heads] for k in keys], [r[heads] for r in risks], total, prevalence, mean
 
 
-class _RowView:
-    """Equality, hash and repr through the row view, as for a table of rows."""
-
-    _repr_fields: tuple[str, ...]
-    _compare_fields: tuple[str, ...]
-
-    def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-
-    def _compared(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._compare_fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    def __hash__(self):
-        return hash(self._compared())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
-        return f"{type(self).__name__}({fields})"
-
-
 @dataclass(frozen=True)
 class Group:
     """One risk group: assigned risk, population mass, outcome prevalence."""
@@ -321,7 +295,7 @@ def perfect_model_table(dist: RiskDistribution) -> GroupedModelTable:
     prevalence both equal the true risk.
     """
     return make_grouped_table(
-        (format_label(p), p, f, p) for p, f in dist.points
+        Columns((coded(map(format_label, dist.risk.tolist())),), (dist.risk,), dist.mass, dist.risk)
     )
 
 

@@ -1,0 +1,58 @@
+"""Exact values of the measures, in fractions.Fraction, from float columns.
+
+Each function reads a grouped table's or a risk distribution's float64
+columns, converts every entry to the Fraction it stands for, and evaluates
+the measure's defining formula with no rounding. The mean in a variance is
+the exact mass-weighted sum, as the code's is before it rounds: masses are
+not renormalized, so they need only sum to 1 within 1e-9.
+"""
+
+from fractions import Fraction
+
+
+def _exact(column) -> list[Fraction]:
+    return [Fraction(x) for x in column.tolist()]
+
+
+def weighted_sum(mass, value) -> Fraction:
+    """sum(m v)."""
+    return sum((m * v for m, v in zip(_exact(mass), _exact(value))), Fraction(0))
+
+
+def weighted_variance(mass, value) -> Fraction:
+    """sum(m (v - c)**2) with c = sum(m v)."""
+    m, v = _exact(mass), _exact(value)
+    c = sum((a * b for a, b in zip(m, v)), Fraction(0))
+    return sum((a * (b - c) ** 2 for a, b in zip(m, v)), Fraction(0))
+
+
+def distribution_mean(dist) -> Fraction:
+    """RiskDistribution.mean: sum(mass risk)."""
+    return weighted_sum(dist.mass, dist.risk)
+
+
+def distribution_variance(dist) -> Fraction:
+    """RiskDistribution.variance: sum(mass (risk - mean)**2)."""
+    return weighted_variance(dist.mass, dist.risk)
+
+
+def population_mean(table) -> Fraction:
+    """sum(mass prevalence)."""
+    return weighted_sum(table.mass, table.prevalence)
+
+
+def prevalence_variance(table) -> Fraction:
+    """sum(mass (prevalence - population mean)**2)."""
+    return weighted_variance(table.mass, table.prevalence)
+
+
+def bias_sq(table) -> Fraction:
+    """sum(mass (risk - prevalence)**2)."""
+    r, m, p = _exact(table.risk), _exact(table.mass), _exact(table.prevalence)
+    return sum((b * (a - c) ** 2 for a, b, c in zip(r, m, p)), Fraction(0))
+
+
+def brier(table) -> Fraction:
+    """sum(mass (prevalence (1 - prevalence) + (risk - prevalence)**2))."""
+    r, m, p = _exact(table.risk), _exact(table.mass), _exact(table.prevalence)
+    return sum((b * (c * (1 - c) + (a - c) ** 2) for a, b, c in zip(r, m, p)), Fraction(0))

@@ -195,8 +195,8 @@ class TestConditionalDistributions:
     @given(seeds)
     def test_both_sides_normalize(self, seed):
         cond = conditional_distributions(random_table(seed))
-        assert abs(math.fsum(cond.cases.masses) - 1.0) <= 1e-9
-        assert abs(math.fsum(cond.noncases.masses) - 1.0) <= 1e-9
+        assert abs(math.fsum(cond.cases.mass.tolist()) - 1.0) <= 1e-9
+        assert abs(math.fsum(cond.noncases.mass.tolist()) - 1.0) <= 1e-9
 
     def test_constant_model_concentrates(self):
         table = perfect_model_table(constant_distribution(0.3))

@@ -62,6 +62,11 @@ def test_library_imports_leave_the_environment_alone():
     assert _child(code) == "True True"
 
 
+def test_a_submodule_attribute_imports_the_submodule():
+    code = "import sys, riskeval; print(riskeval.metrics is sys.modules['riskeval.metrics'])"
+    assert _child(code) == "True"
+
+
 def test_cli_loads_numpy_with_one_blas_thread():
     code = ("import os, riskeval.cli; "
             "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')) "

@@ -73,12 +73,12 @@ def same_support(got, want):
 
 class TestRiskDistribution:
     def test_interior_support(self, dist_a, dist_b):
-        same_support(dist_a.risks, SUPPORT)
-        same_support(dist_b.risks, SUPPORT)
+        same_support(dist_a.risk.tolist(), SUPPORT)
+        same_support(dist_b.risk.tolist(), SUPPORT)
 
     def test_boundary_support(self):
-        same_support(risk_distribution(build_population(0.0)).risks, (0.09, 0.10, 0.18))
-        same_support(risk_distribution(build_population(1.0)).risks, (0.02, 0.10, 0.74))
+        same_support(risk_distribution(build_population(0.0)).risk.tolist(), (0.09, 0.10, 0.18))
+        same_support(risk_distribution(build_population(1.0)).risk.tolist(), (0.02, 0.10, 0.74))
 
     @given(alphas)
     def test_mean_pinned_at_ten_percent(self, alpha):
