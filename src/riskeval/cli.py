@@ -31,7 +31,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import astuple, fields, replace
+from dataclasses import replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from functools import partial
 from pathlib import Path
@@ -82,8 +82,8 @@ from .synthetic import (
 )
 from .tables import format_label, perfect_model_table
 
-METRIC_FIELDS = tuple(f.name for f in fields(MetricsReport))
-SUBGROUP_FIELDS = tuple(f.name for f in fields(SubgroupGain) if f.name != "key")
+METRIC_FIELDS = MetricsReport._fields
+SUBGROUP_FIELDS = tuple(name for name in SubgroupGain._fields if name != "key")
 # Table columns of fractions, which get percent twins; keys, model names and alpha do not.
 _PCT_COLUMNS = {*METRIC_FIELDS, *SUBGROUP_FIELDS}
 
@@ -153,8 +153,8 @@ class Writer:
 
 
 def _report_pairs(report):
-    """(field name, value) pairs of a report dataclass, in field order."""
-    return [(f.name, getattr(report, f.name)) for f in fields(report)]
+    """(field name, value) pairs of a report, in field order."""
+    return list(zip(report._fields, report))
 
 
 def _add_gain_report(writer: Writer, name: str, gain) -> None:
@@ -166,10 +166,6 @@ def _add_gain_report(writer: Writer, name: str, gain) -> None:
 def _attributes_csv(table) -> str:
     columns = (table.risk, table.prevalence, table.mass)
     return format_csv(("risk", "prevalence", "mass"), columns=columns)
-
-
-def _subset_label(subset: tuple[str, ...]) -> str:
-    return "".join(subset)
 
 
 def parse_subset(text: str) -> tuple[str, ...]:
@@ -236,10 +232,10 @@ def cmd_synth(args: argparse.Namespace, writer: Writer) -> None:
             format_csv(("risk", "mass"), columns=(dist.risk, dist.mass)),
         )
         for subset in subsets:
-            name, table = _subset_label(subset), tables[(alpha, subset)]
+            name, table = "".join(subset), tables[(alpha, subset)]
             writer.add_text(f"model_alpha{alabel}_{name}.csv", grouped_csv(table))
-            matrix_rows.append((alpha, name, *astuple(evaluate(table))))
-        matrix_rows.append((alpha, "perfect", *astuple(evaluate(perfect_model_table(dist)))))
+            matrix_rows.append((alpha, name, *evaluate(table)))
+        matrix_rows.append((alpha, "perfect", *evaluate(perfect_model_table(dist))))
         if len(subsets) >= 2:
             s1, s2 = subsets[0], subsets[1]
             joint = cross_classify(pop, s1, s2)
@@ -254,7 +250,7 @@ def cmd_synth(args: argparse.Namespace, writer: Writer) -> None:
                 tables[(source_alpha, subset)], tables[(target_alpha, subset)]
             )
             writer.add_text(
-                f"transfer_{_subset_label(subset)}_alpha{format_label(source_alpha)}"
+                f"transfer_{''.join(subset)}_alpha{format_label(source_alpha)}"
                 f"_to_alpha{format_label(target_alpha)}.csv",
                 _attributes_csv(transferred),
             )

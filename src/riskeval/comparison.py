@@ -11,11 +11,11 @@ that group's contribution to the precision gain.
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .distributions import _check_unit_interval, _exact_sum, _exact_sums
+from .distributions import _check_unit_interval, _exact_sum, _exact_sums, _own_arrays, _sealed
 from .errors import (
     GroupKeyMismatch,
     InternalInvariantError,
@@ -38,8 +38,7 @@ from .tables import (
 MEAN_MATCH_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Differences between model 1 and model 2, positive when model 2 wins."""
 
     population_mean: float
@@ -96,8 +95,7 @@ def transfer_calibration(
     return make_grouped_table(Columns((target.key_column,), risk, target.mass, target.prevalence))
 
 
-@dataclass(frozen=True)
-class CellBias:
+class CellBias(NamedTuple):
     """Assigned risks and their biases for one cross-classified cell."""
 
     key1: str
@@ -112,8 +110,10 @@ class CellBias:
 
 class _RowColumns(Sequence):
     """A read-only sequence of _row rows, held by a frozen dataclass with one
-    column per row field, mass among them. Rows, and key arrays of str, are
-    built on access; equality is identity."""
+    read-only column per row field, mass among them. Rows, and key arrays of
+    str, are built on access; equality is identity."""
+
+    __post_init__ = _own_arrays
 
     def columns(self) -> list:
         return [getattr(self, f.name) for f in fields(self)]
@@ -187,11 +187,10 @@ def cross_classified_bias(
     _raise_first(bad, "cell", lambda i: _check_cell(joint, risks1, risks2, i))
     p = joint.prevalence
     keys = joint.key1_column, joint.key2_column
-    return CellBiasTable(*keys, joint.mass, p, r1, r2, r1 - p, r2 - p)
+    return CellBiasTable(*keys, joint.mass, p, *map(_sealed, (r1, r2, r1 - p, r2 - p)))
 
 
-@dataclass(frozen=True)
-class SubgroupGain:
+class SubgroupGain(NamedTuple):
     """Spread of cross-classified prevalences within one model-1 group."""
 
     key: str
@@ -219,8 +218,7 @@ class SubgroupGainTable(_RowColumns):
     _row = SubgroupGain
 
 
-@dataclass(frozen=True)
-class SubgroupGainReport:
+class SubgroupGainReport(NamedTuple):
     """Where model 2 refines model 1, and by how much in Brier precision;
     rows holds one SubgroupGain per model-1 group (a SubgroupGainTable)."""
 
@@ -254,7 +252,7 @@ def subgroup_precision_gain(joint: JointModelTable) -> SubgroupGainReport:
     risk = joint.risk1[heads]
     rank = np.lexsort((keys.codes[heads], risk))
     low, high = _first_extreme(np.minimum, p, starts), _first_extreme(np.maximum, p, starts)
-    columns = [x[rank] for x in (risk, mass, low, high, var, np.sqrt(var))]
+    columns = [_sealed(x[rank]) for x in (risk, mass, low, high, var, np.sqrt(var))]
     return SubgroupGainReport(
         population_mean=joint.population_mean,
         rows=SubgroupGainTable(keys[heads[rank]], *columns),

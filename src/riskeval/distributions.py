@@ -149,16 +149,27 @@ def _merge_ties(risk: np.ndarray, mass: np.ndarray):
     return tie, total, point
 
 
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """a made read-only: a fresh array that its maker hands to a holder, which keeps it uncopied."""
+    a.flags.writeable = False
+    return a
+
+
+def _own_arrays(holder) -> None:
+    """Give a frozen dataclass read-only arrays of its own: it keeps a read-only
+    array and copies a writable one, so a caller's array is never frozen."""
+    for name, value in vars(holder).items():
+        if isinstance(value, np.ndarray) and value.flags.writeable:
+            object.__setattr__(holder, name, _sealed(value.copy()))
+
+
 class _RowView:
     """Equality, hash and repr through the row view, as for a table of rows."""
 
     _repr_fields: tuple[str, ...]
     _compare_fields: tuple[str, ...]
 
-    def __post_init__(self):
-        for value in vars(self).values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
+    __post_init__ = _own_arrays
 
     def _compared(self) -> tuple:
         return tuple(getattr(self, name) for name in self._compare_fields)
@@ -215,7 +226,7 @@ def make_distribution(points) -> RiskDistribution:
         raise EmptyInput("all support points have zero mass")
     _check_total_mass(f for _, f in pairs)
     _, mass, risk = _merge_ties(*np.array(sorted(pairs)).T)
-    return RiskDistribution(risk, mass)
+    return RiskDistribution(_sealed(risk), _sealed(mass))
 
 
 def constant_distribution(pi: float) -> RiskDistribution:

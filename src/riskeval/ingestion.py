@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import _merge, _nonnegative_sum
+from .distributions import _merge, _nonnegative_sum, _own_arrays, _sealed
 from .errors import (
     DegenerateBins,
     EmptyInput,
@@ -168,9 +168,9 @@ def _first_row(path) -> list[str]:
 
 
 def _plain_columns(path, header: list[str], formats: tuple[str, ...]) -> list[np.ndarray] | None:
-    """Columns of a plain file (this header, then rows whose fields all parse
-    by their formats) read by numpy's C reader, else None. numpy's float
-    grammar is a subset of float()'s and gives the same bits."""
+    """Read-only columns of a plain file (this header, then rows whose fields
+    all parse by their formats) read by numpy's C reader, else None. numpy's
+    float grammar is a subset of float()'s and gives the same bits."""
     if read_header(path) != header:
         return None
     try:
@@ -182,7 +182,7 @@ def _plain_columns(path, header: list[str], formats: tuple[str, ...]) -> list[np
                               skiprows=1, ndmin=1, encoding="utf-8")
     except (OSError, ValueError):
         return None
-    return [np.ascontiguousarray(rows[name]) for name in header] if len(rows) else None
+    return [_sealed(np.ascontiguousarray(rows[name])) for name in header] if len(rows) else None
 
 
 def _parse_float(path, lineno: int, name: str, text: str) -> float:
@@ -218,7 +218,7 @@ def _labels(values: np.ndarray) -> KeyColumn:
         labels[start : start + _BLOCK_ROWS] = block.encode().split(b"\n")[:-1]
     labels = labels.astype(f"S{np.char.str_len(labels).max(initial=1)}")  # narrow before sorting
     vocab, codes = np.unique(labels, return_inverse=True)
-    return KeyColumn(codes[inverse], vocab)
+    return KeyColumn(_sealed(codes[inverse]), _sealed(vocab))
 
 
 def load_grouped(path) -> GroupedModelTable:
@@ -267,9 +267,10 @@ class IndividualRecords:
     """Person-level records held as columns, one array per field.
 
     risk1 is float64; risk2 is float64, or None when no record carries a
-    second risk; outcome holds 0/1. Construction checks outcomes and risk
-    ranges. Iteration yields IndividualRecord tuples of Python floats and
-    ints (risk2 None when absent), and the records equal the list of them.
+    second risk; outcome holds 0/1; each array is read-only and its own.
+    Construction checks outcomes and risk ranges. Iteration yields
+    IndividualRecord tuples of Python floats and ints (risk2 None when
+    absent), and the records equal the list of them.
     """
 
     risk1: np.ndarray
@@ -277,6 +278,8 @@ class IndividualRecords:
     outcome: np.ndarray
 
     def __post_init__(self):
+        _own_arrays(self)
+
         def check(i: int) -> None:
             risk1, risk2, outcome = next(itertools.islice(self, i, None))  # as _faults saw them
             if outcome not in (0, 1):
@@ -294,9 +297,9 @@ class IndividualRecords:
         if 0 < blank < len(records):
             raise InvariantViolation("risk2 must be present on all records or none")
         return cls(
-            risk1=np.array([r.risk1 for r in records], dtype=float),
-            risk2=np.array(risk2, dtype=float) if risk2 and not blank else None,
-            outcome=np.array([r.outcome for r in records]),
+            risk1=_sealed(np.array([r.risk1 for r in records], dtype=float)),
+            risk2=_sealed(np.array(risk2, dtype=float)) if risk2 and not blank else None,
+            outcome=_sealed(np.array([r.outcome for r in records])),
         )
 
     def __len__(self) -> int:
@@ -354,7 +357,7 @@ def load_individuals(path) -> IndividualRecords:
     if plain is not None:
         risk1, risk2, outcome_text = plain
         ones = outcome_text == "1"
-        outcome = np.where(ones | (outcome_text == "0"), ones.view(np.uint8), np.uint8(2))
+        outcome = _sealed(np.where(ones | (outcome_text == "0"), ones.view(np.uint8), np.uint8(2)))
         with contextlib.suppress(InvariantViolation):  # else csv.reader's checks name the line
             return IndividualRecords(risk1=risk1, risk2=risk2, outcome=outcome)
     path, linenos, columns = _read_columns(path, INDIVIDUALS_HEADER)
@@ -362,11 +365,11 @@ def load_individuals(path) -> IndividualRecords:
     blank = risk2_texts.count("")
     if not set(outcome_texts) <= {"0", "1"}:  # other outcomes code as 2, a fault
         outcome_texts = [t if t in ("0", "1") else "2" for t in outcome_texts]
-    outcome = np.frombuffer("".join(outcome_texts).encode("ascii"), dtype=np.uint8) - ord("0")
-    risk1 = _floats(risk1_texts)
+    outcome = _sealed(np.frombuffer("".join(outcome_texts).encode("ascii"), np.uint8) - ord("0"))
+    risk1 = _sealed(_floats(risk1_texts))
     risk2 = None
     if blank < len(linenos):  # a blank risk2 passes its record's checks
-        risk2 = _floats([t or "0" for t in risk2_texts] if blank else risk2_texts)
+        risk2 = _sealed(_floats([t or "0" for t in risk2_texts] if blank else risk2_texts))
     faults = _faults(risk1, risk2, outcome)
     _raise_first(faults, "record", lambda i: _check_record(path, linenos, columns, i))
     if blank and risk2 is not None:
@@ -452,8 +455,7 @@ def bin_individuals(
     return grouped, make_joint_table(cells)
 
 
-@dataclass(frozen=True)
-class CrossDecileCell:
+class CrossDecileCell(NamedTuple):
     decile1: int
     decile2: int
     person_years: float
@@ -480,15 +482,14 @@ class CrossDecileTable:
         rows: dict[int, list[CrossDecileCell]] = {}
         for c in self.cells:
             rows.setdefault(c.decile1, []).append(c)
-        n_rows = len(rows)
         raw = []
         for d1, cells in rows.items():
             row_py = _nonnegative_sum(c.person_years for c in cells)
             if row_py == math.inf:
                 raise NonFiniteValue(f"person_years of decile1 {d1} sum to {row_py}")
-            for c in cells:
-                prev = ten_year_risk(c.cases / c.person_years, self.mortality, self.horizon)
-                raw.append((c.decile1, c.decile2, c.person_years / row_py / n_rows, prev))
+            for _, d2, py, cases in cells:
+                prev = ten_year_risk(cases / py, self.mortality, self.horizon)
+                raw.append((d1, d2, py / row_py / len(rows), prev))
         d1, d2, mass, prev = zip(*raw)
         width = max(len(str(d)) for d in d1 + d2)
         mass, prev = np.array(mass), np.array(prev)
@@ -538,7 +539,7 @@ def read_cross_decile(path, mortality: float, horizon: float) -> CrossDecileTabl
         if (d1, d2) in seen:
             raise ParseError(f"{path}:{lineno}: duplicate cell ({d1}, {d2})")
         seen.add((d1, d2))
-        cells.append(CrossDecileCell(decile1=d1, decile2=d2, person_years=py, cases=cases))
+        cells.append(CrossDecileCell(d1, d2, py, cases))
     if not cells:
         raise EmptyInput(f"{path}: no nonempty cells")
     return CrossDecileTable(cells=tuple(cells), mortality=mortality, horizon=horizon)

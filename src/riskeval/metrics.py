@@ -14,7 +14,7 @@ x ** 2, need not.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def ro_correlation(table: GroupedModelTable) -> float:
     return math.sqrt(prevalence_variance(table) / (pi * (1.0 - pi)))
 
 
-@dataclass(frozen=True)
-class ConditionalRiskDistributions:
+class ConditionalRiskDistributions(NamedTuple):
     """Distributions of group membership among cases and among noncases.
 
     Both reuse RiskDistribution with the group prevalence as the support
@@ -127,8 +126,7 @@ def attributes_diagram(table: GroupedModelTable) -> list[tuple[float, float, flo
     return list(zip(table.risk.tolist(), table.prevalence.tolist(), table.mass.tolist()))
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """All single-model measures for one table."""
 
     population_mean: float

@@ -14,6 +14,7 @@ subsets yields the joint table of both models.
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,17 +35,13 @@ COVARIATES = ("z0", "z1", "z2", "z3")
 _TAU = {-1: 0.8, 0: 0.1, 1: 0.1}
 
 
-@dataclass(frozen=True)
-class CovariateCell:
+class CovariateCell(NamedTuple):
     z0: int
     z1: int
     z2: int
     z3: int
     mass: float
     risk: float
-
-    def value(self, name: str) -> int:
-        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,7 @@ def build_population(alpha: float) -> SyntheticPopulation:
     for z0, z1, z2, z3 in itertools.product((-1, 0, 1), (0, 1), (0, 1), (0, 1)):
         s = z1 + z2 + z3
         mass = _TAU[z0] * alpha**s * (1.0 - alpha) ** (3 - s)
-        cells.append(
-            CovariateCell(z0=z0, z1=z1, z2=z2, z3=z3, mass=mass, risk=_cell_risk(z0, s))
-        )
+        cells.append(CovariateCell(z0, z1, z2, z3, mass, _cell_risk(z0, s)))
     return SyntheticPopulation(alpha=alpha, cells=tuple(cells))
 
 
@@ -94,10 +89,6 @@ def _canonical_subset(subset) -> tuple[str, ...]:
     return tuple(n for n in COVARIATES if n in names)
 
 
-def _cell_label(cell: CovariateCell, subset: tuple[str, ...]) -> str:
-    return ",".join(f"{n}={cell.value(n)}" for n in subset)
-
-
 def _project(pop: SyntheticPopulation, subset):
     """Grouped table for a covariate subset, and the key column of the group
     of each positive-mass cell.
@@ -108,7 +99,7 @@ def _project(pop: SyntheticPopulation, subset):
     """
     subset = _canonical_subset(subset)
     cells = [c for c in pop.cells if c.mass != 0.0]
-    classes = coded(_cell_label(c, subset) for c in cells)
+    classes = coded(",".join(f"{n}={getattr(c, n)}" for n in subset) for c in cells)
     mass, prev = _merge(classes.codes, *np.array([(c.mass, c.risk) for c in cells]).T)
     order = np.lexsort((mass, prev))  # by prevalence, then mass, then class
     tie, mass, prev = _merge_ties(prev[order], mass[order])

@@ -5,12 +5,12 @@ carries the model's assigned risk, the fraction of the population in the
 group, and the group's observed (or exactly computed) outcome prevalence.
 A joint table cross-classifies two models over the same population.
 
-Tables hold numpy columns with one entry per group or cell: keys (a
-KeyColumn: integer codes into a vocabulary of labels, coded once when a table
-is built or loaded), assigned risks, masses and prevalences. The `key`/`key1`/
-`key2` object arrays of str and the `groups` and `cells` rows are read-only
-views built on demand; every computation, merging and matching keys
-included, reads the columns.
+Tables hold read-only numpy columns of their own, one entry per group or
+cell: keys (a KeyColumn: integer codes into a vocabulary of labels, coded once
+when a table is built or loaded), assigned risks, masses and prevalences. The
+`key`/`key1`/`key2` object arrays of str and the `groups` and `cells` rows
+(NamedTuples) are views built on demand; every computation, merging and
+matching keys included, reads the columns.
 
 Group keys are identity. Entries that share a key are one group; distinct
 keys stay distinct groups even when their assigned risks are equal, so a
@@ -21,6 +21,7 @@ risk value.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .distributions import (
     _check_unit_interval,
     _exact_sum,
     _merge,
+    _own_arrays,
+    _sealed,
 )
 from .errors import EmptyInput, InternalInvariantError, InvariantViolation
 
@@ -99,14 +102,13 @@ class KeyColumn:
     codes: np.ndarray
     vocab: np.ndarray
 
-    def __post_init__(self):
-        self.codes.flags.writeable = self.vocab.flags.writeable = False
+    __post_init__ = _own_arrays
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def __getitem__(self, rows) -> "KeyColumn":
-        return KeyColumn(self.codes[rows], self.vocab)
+        return KeyColumn(_sealed(self.codes[rows]), self.vocab)
 
     def __iter__(self):
         return iter(self.tolist())
@@ -127,7 +129,7 @@ class KeyColumn:
 def coded(keys) -> KeyColumn:
     """KeyColumn of str() of each key."""
     vocab, codes = np.unique(np.array(list(map(str, keys)), dtype=object), return_inverse=True)
-    return KeyColumn(codes, vocab)
+    return KeyColumn(_sealed(codes), _sealed(vocab))
 
 
 def rows_of(table: "GroupedModelTable", keys: KeyColumn) -> np.ndarray:
@@ -224,15 +226,15 @@ def _build(entries, risk_names, empty_message):
         raise EmptyInput(empty_message)
     total, prevalence = _merge(codes, mass[rows], prev[rows])
     heads = rows[first]  # a merged group keeps the risks of its first entry
-    order = np.lexsort([k.codes[heads] for k in keys[::-1]] + [r[heads] for r in risks[::-1]])
-    total, prevalence, heads = total[order], prevalence[order], heads[order]
+    # heads come in code order, which is key order; the stable lexsort keeps it at equal risks.
+    order = np.lexsort([r[heads] for r in risks[::-1]])
+    total, prevalence, heads = _sealed(total[order]), _sealed(prevalence[order]), heads[order]
     _check_total_mass(total)
     mean = _exact_sum(total * prevalence)
-    return [k[heads] for k in keys], [r[heads] for r in risks], total, prevalence, mean
+    return [k[heads] for k in keys], [_sealed(r[heads]) for r in risks], total, prevalence, mean
 
 
-@dataclass(frozen=True)
-class Group:
+class Group(NamedTuple):
     """One risk group: assigned risk, population mass, outcome prevalence."""
 
     key: str
@@ -299,8 +301,7 @@ def perfect_model_table(dist: RiskDistribution) -> GroupedModelTable:
     )
 
 
-@dataclass(frozen=True)
-class JointCell:
+class JointCell(NamedTuple):
     """One cell of a two-model cross-classification."""
 
     key1: str

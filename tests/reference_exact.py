@@ -56,3 +56,49 @@ def brier(table) -> Fraction:
     """sum(mass (prevalence (1 - prevalence) + (risk - prevalence)**2))."""
     r, m, p = _exact(table.risk), _exact(table.mass), _exact(table.prevalence)
     return sum((b * (c * (1 - c) + (a - c) ** 2) for a, b, c in zip(r, m, p)), Fraction(0))
+
+
+def precision_loss(table) -> Fraction:
+    """pi (1 - pi) - prevalence variance, pi the population mean."""
+    pi = population_mean(table)
+    return pi * (1 - pi) - prevalence_variance(table)
+
+
+def ro_correlation_sq(table) -> Fraction:
+    """ro_correlation squared, prevalence variance / (pi (1 - pi)): the root
+    of a fraction need not be one."""
+    pi = population_mean(table)
+    return prevalence_variance(table) / (pi * (1 - pi))
+
+
+def prevalence_moments(table) -> tuple[Fraction, Fraction]:
+    """sum(mass prevalence**2) and sum(mass prevalence (1 - prevalence))."""
+    m, p = _exact(table.mass), _exact(table.prevalence)
+    return (
+        sum((a * b * b for a, b in zip(m, p)), Fraction(0)),
+        sum((a * b * (1 - b) for a, b in zip(m, p)), Fraction(0)),
+    )
+
+
+def integrated_discrimination(table) -> Fraction:
+    """Mean prevalence among cases minus among noncases:
+    sum(m p**2) / pi - sum(m p (1 - p)) / (1 - pi)."""
+    pi = population_mean(table)
+    cases, noncases = prevalence_moments(table)
+    return cases / pi - noncases / (1 - pi)
+
+
+def concordance(table) -> Fraction:
+    """sum over risk levels r of H0(r) (H1(r) / 2 + H1(above r)): H1 sums
+    m p / pi and H0 sums m (1 - p) / (1 - pi) over the groups at a level."""
+    pi = population_mean(table)
+    h1: dict[float, Fraction] = {}
+    h0: dict[float, Fraction] = {}
+    for r, m, p in zip(table.risk.tolist(), _exact(table.mass), _exact(table.prevalence)):
+        h1[r] = h1.get(r, Fraction(0)) + m * p / pi
+        h0[r] = h0.get(r, Fraction(0)) + m * (1 - p) / (1 - pi)
+    total, above = Fraction(0), Fraction(0)
+    for r in sorted(h1, reverse=True):
+        total += h0[r] * (h1[r] / 2 + above)
+        above += h1[r]
+    return total

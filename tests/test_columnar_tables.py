@@ -155,7 +155,7 @@ class TestViews:
         rows = list(table)
         assert len(table) == len(rows) == 9 and all(isinstance(r, CellBias) for r in rows)
         assert [table[0], table[-1]] == [rows[0], rows[-1]] and table[2:5] == rows[2:5]
-        assert all(type(x) is float for x in dataclasses.astuple(table[-1])[2:])
+        assert all(type(x) is float for x in tuple(table[-1])[2:])
 
     def test_subgroup_gain_rows_are_a_sequence_of_rows(self, joint_b):
         table = subgroup_precision_gain(joint_b).rows
@@ -164,7 +164,7 @@ class TestViews:
         assert [table[0], table[-1]] == [rows[0], rows[-1]] and table[1:4] == rows[1:4]
         assert table.key.tolist() == [r.key for r in rows]
         assert table.sd.tolist() == [r.sd for r in rows]
-        assert all(type(x) is float for x in dataclasses.astuple(table[-1])[1:])
+        assert all(type(x) is float for x in tuple(table[-1])[1:])
         assert table != subgroup_precision_gain(joint_b).rows  # compared by identity
 
 

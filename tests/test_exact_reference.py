@@ -20,11 +20,19 @@ from fractions import Fraction
 
 import numpy as np
 import reference_exact as ref
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riskeval import make_distribution, make_grouped_table
-from riskeval.metrics import brier_score, calibration_bias_sq, prevalence_variance
+from riskeval.metrics import (
+    brier_score,
+    calibration_bias_sq,
+    concordance,
+    integrated_discrimination,
+    precision_loss,
+    prevalence_variance,
+    ro_correlation,
+)
 from riskeval.tables import Columns
 
 U = Fraction(1, 2**53)
@@ -89,6 +97,27 @@ def _variance_bound(got: float, exact: Fraction, mass, centre: float, exact_cent
     return half_ulp(got) + gamma(4) * (exact + shift) + shift
 
 
+def _nondegenerate(n: int, seed: int):
+    """_table(n, seed), its population mean pi as the code rounds it and as
+    a Fraction, and their gap e = pi - exact; pi must lie in (0, 1)."""
+    table = _table(n, seed)
+    pi = table.population_mean
+    assume(0.0 < pi < 1.0)
+    exact = ref.population_mean(table)
+    return table, pi, exact, Fraction(pi) - exact
+
+
+def _outcome_variance_bound(pi: float, exact_pi: Fraction) -> Fraction:
+    """Bound on |pi * (1.0 - pi) - P (1 - P)|, P the exact mean.
+
+    The float expression takes two roundings of pi (1 - pi), within
+    gamma(2) pi (1 - pi), and pi (1 - pi) - P (1 - P) = e (1 - pi - P)
+    exactly, with e = pi - P.
+    """
+    e, pi = Fraction(pi) - exact_pi, Fraction(pi)
+    return gamma(2) * pi * (1 - pi) + abs(e * (1 - pi - exact_pi))
+
+
 class TestTableMeasures:
     @settings(max_examples=150, deadline=None)
     @given(SIZES, SEEDS)
@@ -129,6 +158,93 @@ class TestTableMeasures:
         got, exact = prevalence_variance(table), ref.prevalence_variance(table)
         pi = ref.population_mean(table)
         _within(got, exact, _variance_bound(got, exact, table.mass, table.population_mean, pi))
+
+    @settings(max_examples=150, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_precision_loss(self, n, seed):
+        """pi * (1.0 - pi) - V, with pi the rounded population mean and V the
+        computed prevalence_variance. The first product is within
+        _outcome_variance_bound of P (1 - P), V within _variance_bound of the
+        exact variance, and the difference takes one rounding, half an ulp."""
+        table, pi, exact_pi, _ = _nondegenerate(n, seed)
+        got, exact = precision_loss(table), ref.precision_loss(table)
+        variance = prevalence_variance(table)
+        variance_error = _variance_bound(
+            variance, ref.prevalence_variance(table), table.mass, pi, exact_pi
+        )
+        bound = half_ulp(got) + _outcome_variance_bound(pi, exact_pi) + variance_error
+        _within(got, exact, bound)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_ro_correlation(self, n, seed):
+        """sqrt(V / D), D = pi * (1.0 - pi), checked in squares against the
+        exact R = V* / (P (1 - P)), as the root of R need not be a fraction.
+
+        V is within b = _variance_bound of V*, and D within
+        d = _outcome_variance_bound of P (1 - P); D is at least
+        pi (1 - pi) (1 - gamma(2)) = D-. Since V / D - R = (V - V*) / D
+        + R (P (1 - P) - D) / D, |V / D - R| <= E1 = (b + R d) / D-. The
+        quotient q takes one rounding: |q - R| <= Eq = E1 + u (R + E1). The
+        correctly rounded root gives got**2 = q (1 + t)**2 with
+        |(1 + t)**2 - 1| <= gamma(2), so |got**2 - R| <= Eq + gamma(2) (R + Eq).
+        """
+        table, pi, exact_pi, _ = _nondegenerate(n, seed)
+        got, exact = ro_correlation(table), ref.ro_correlation_sq(table)
+        variance = prevalence_variance(table)
+        b = _variance_bound(variance, ref.prevalence_variance(table), table.mass, pi, exact_pi)
+        d = _outcome_variance_bound(pi, exact_pi)
+        low = Fraction(pi) * (1 - Fraction(pi)) * (1 - gamma(2))
+        e1 = (b + exact * d) / low
+        eq = e1 + U * (exact + e1)
+        _within(Fraction(got) ** 2, exact, eq + gamma(2) * (exact + eq))
+
+    @settings(max_examples=150, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_integrated_discrimination(self, n, seed):
+        """C - N, C = fsum(p * m * p / pi) and N = fsum(p * m * (1.0 - p)
+        / (1.0 - pi)). A term of C takes three roundings and one of N five;
+        their nonnegative correctly rounded sums add one more, so C is
+        within gamma(4) of S2 / pi and N within gamma(6) of S1 / (1 - pi),
+        with S2 = sum(m p**2) and S1 = sum(m p (1 - p)). The rounded mean
+        moves S2 / pi from S2 / P by S2 |e| / (pi P), and S1 / (1 - pi) by
+        S1 |e| / ((1 - pi) (1 - P)). The two means nearly cancel, so their
+        errors, not the result's size, set the bound; the difference adds
+        half an ulp."""
+        table, pi, exact_pi, e = _nondegenerate(n, seed)
+        got, exact = integrated_discrimination(table), ref.integrated_discrimination(table)
+        s2, s1 = ref.prevalence_moments(table)
+        pi = Fraction(pi)
+        bound = (
+            half_ulp(got)
+            + gamma(4) * s2 / pi
+            + gamma(6) * s1 / (1 - pi)
+            + abs(e) * (s2 / (pi * exact_pi) + s1 / ((1 - pi) * (1 - exact_pi)))
+        )
+        _within(got, exact, bound)
+
+    @settings(max_examples=150, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_concordance(self, n, seed):
+        """fsum(h0 * (0.5 * h1 + above)) over risk levels, highest first.
+
+        A case weight m * p / pi takes two roundings and a noncase weight
+        m * (1.0 - p) / (1.0 - pi) four. np.bincount adds a level's k weights
+        one by one from 0.0, k - 1 roundings, and np.cumsum adds the levels
+        above, one rounding per level; a weight passes through at most
+        n - 1 of these, as the levels hold n groups. So above and h1 are
+        within gamma(n + 1) of their values at the rounded pi, 0.5 * h1 +
+        above within gamma(n + 2), h0 within gamma(n + 3), and each product
+        within gamma(2 n + 6); the nonnegative terms' correctly rounded sum
+        adds half an ulp. Every term is a case weight times a noncase
+        weight, so the value at the rounded pi is the exact one times
+        k = P (1 - P) / (pi (1 - pi)).
+        """
+        table, pi, exact_pi, _ = _nondegenerate(n, seed)
+        got, exact = concordance(table), ref.concordance(table)
+        pi = Fraction(pi)
+        k = exact_pi * (1 - exact_pi) / (pi * (1 - pi))
+        _within(got, exact, half_ulp(got) + gamma(2 * n + 6) * exact * k + exact * abs(k - 1))
 
 
 class TestDistributionMoments:

@@ -59,7 +59,7 @@ def _hex(x) -> str:
 def _table_bits(table):
     """Rows (and keys) of a grouped or joint table, floats as hex."""
     rows = table.groups if hasattr(table, "groups") else table.cells
-    return [tuple(map(_hex, vars(r).values())) for r in rows], table.population_mean.hex()
+    return [tuple(map(_hex, r)) for r in rows], table.population_mean.hex()
 
 
 def _outcome(fn, *args):
