@@ -383,10 +383,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except RiskEvalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RiskEvalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

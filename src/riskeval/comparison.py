@@ -10,12 +10,12 @@ that group's contribution to the precision gain.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .distributions import _check_unit_interval, _exact_sum, _exact_sums, _own_arrays, _sealed
+from .distributions import _RowSequence, _check_unit_interval, _exact_sum, _exact_sums, _sealed
 from .errors import (
     GroupKeyMismatch,
     InternalInvariantError,
@@ -108,31 +108,8 @@ class CellBias(NamedTuple):
     bias2: float
 
 
-class _RowColumns(Sequence):
-    """A read-only sequence of _row rows, held by a frozen dataclass with one
-    read-only column per row field, mass among them. Rows, and key arrays of
-    str, are built on access; equality is identity."""
-
-    __post_init__ = _own_arrays
-
-    def columns(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
-
-    def __len__(self) -> int:
-        return len(self.mass)
-
-    def __iter__(self):
-        return map(self._row, *(col.tolist() for col in self.columns()))
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        # A one-entry slice gives Python values through tolist.
-        return self._row(*(col[i : i + 1 or None].tolist()[0] for col in self.columns()))
-
-
 @dataclass(frozen=True, eq=False)
-class CellBiasTable(_RowColumns):
+class CellBiasTable(_RowSequence):
     """Per-cell biases of a joint table, one column per CellBias field, in
     the joint table's cell order."""
 
@@ -203,7 +180,7 @@ class SubgroupGain(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class SubgroupGainTable(_RowColumns):
+class SubgroupGainTable(_RowSequence):
     """Prevalence spread of model-1 groups, one column per SubgroupGain
     field, with groups sorted by (risk, key)."""
 

@@ -7,11 +7,14 @@ heterogeneity and is bounded above by mean*(1 - mean).
 The package's exact sums live here too: `_exact_sum` and `_exact_sums` give
 math.fsum's bits for a whole array or for each of its contiguous segments.
 So do the one merge kernel, `_merge`, for table keys and tied risks alike,
-and `_RowView`, the row-view equality, hash and repr of distributions and tables.
+`_rows`, the one builder of every holder's rows from its columns, and the row
+views: `_RowView` for distributions and tables, `_RowSequence` for the rest.
 """
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -161,6 +164,37 @@ def _own_arrays(holder) -> None:
     for name, value in vars(holder).items():
         if isinstance(value, np.ndarray) and value.flags.writeable:
             object.__setattr__(holder, name, _sealed(value.copy()))
+
+
+def _rows(holder, at: slice = slice(None)):
+    """The holder's rows at the slice at, built lazily: its first dataclass fields
+    are the columns of its _row NamedTuple. A numpy column gives Python values,
+    a key column its str keys, and a column that is None gives None on every row."""
+    columns = [getattr(holder, f.name) for f in fields(holder)[: len(holder._row._fields)]]
+    return map(holder._row, *(repeat(None) if c is None else c[at].tolist() for c in columns))
+
+
+class _RowSequence(Sequence):
+    """A read-only sequence of _row rows, held by a frozen dataclass whose
+    fields are their columns; rows are built by _rows on access, and
+    equality is identity."""
+
+    __post_init__ = _own_arrays
+
+    def columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.columns()[0])
+
+    def __iter__(self):
+        return _rows(self)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(_rows(self, i))
+        i = range(len(self))[i]  # a whole index in range, or IndexError
+        return next(_rows(self, slice(i, i + 1)))
 
 
 class _RowView:

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import _merge, _nonnegative_sum, _own_arrays, _sealed
+from .distributions import _RowSequence, _merge, _nonnegative_sum, _own_arrays, _sealed
 from .errors import (
     DegenerateBins,
     EmptyInput,
@@ -263,25 +263,26 @@ class IndividualRecord(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class IndividualRecords:
+class IndividualRecords(_RowSequence):
     """Person-level records held as columns, one array per field.
 
     risk1 is float64; risk2 is float64, or None when no record carries a
     second risk; outcome holds 0/1; each array is read-only and its own.
-    Construction checks outcomes and risk ranges. Iteration yields
-    IndividualRecord tuples of Python floats and ints (risk2 None when
-    absent), and the records equal the list of them.
+    Construction checks outcomes and risk ranges. The records are a
+    read-only sequence of IndividualRecord tuples of Python floats and ints
+    (risk2 None when absent), built on access, and equal the list of them.
     """
 
     risk1: np.ndarray
     risk2: np.ndarray | None
     outcome: np.ndarray
+    _row = IndividualRecord
 
     def __post_init__(self):
         _own_arrays(self)
 
         def check(i: int) -> None:
-            risk1, risk2, outcome = next(itertools.islice(self, i, None))  # as _faults saw them
+            risk1, risk2, outcome = self[i]  # as _faults saw them
             if outcome not in (0, 1):
                 raise InvariantViolation(f"record {i}: outcome {outcome!r} must be 0 or 1")
             _check_risks(f"record {i}", risk1, risk2)
@@ -301,13 +302,6 @@ class IndividualRecords:
             risk2=_sealed(np.array(risk2, dtype=float)) if risk2 and not blank else None,
             outcome=_sealed(np.array([r.outcome for r in records])),
         )
-
-    def __len__(self) -> int:
-        return len(self.risk1)
-
-    def __iter__(self):
-        risk2 = itertools.repeat(None) if self.risk2 is None else self.risk2.tolist()
-        return map(IndividualRecord, self.risk1.tolist(), risk2, self.outcome.tolist())
 
     def __eq__(self, other):
         if isinstance(other, IndividualRecords):

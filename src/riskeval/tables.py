@@ -35,6 +35,7 @@ from .distributions import (
     _exact_sum,
     _merge,
     _own_arrays,
+    _rows,
     _sealed,
 )
 from .errors import EmptyInput, InternalInvariantError, InvariantViolation
@@ -264,13 +265,10 @@ class GroupedModelTable(_RowView):
 
     _repr_fields = ("groups", "population_mean", "declared_calibrated")
     _compare_fields = ("groups", "population_mean")
+    _row = Group
 
     key = property(lambda self: self.key_column.array())
-
-    @property
-    def groups(self) -> tuple[Group, ...]:
-        columns = (self.key, self.risk, self.mass, self.prevalence)
-        return tuple(map(Group, *(col.tolist() for col in columns)))
+    groups = property(lambda self: tuple(_rows(self)))
 
 
 def make_grouped_table(
@@ -332,13 +330,10 @@ class JointModelTable(_RowView):
     population_mean: float
 
     _repr_fields = _compare_fields = ("cells", "population_mean")
+    _row = JointCell
     key1 = property(lambda self: self.key1_column.array())
     key2 = property(lambda self: self.key2_column.array())
-
-    @property
-    def cells(self) -> tuple[JointCell, ...]:
-        columns = (self.key1, self.key2, self.risk1, self.risk2, self.mass, self.prevalence)
-        return tuple(map(JointCell, *(col.tolist() for col in columns)))
+    cells = property(lambda self: tuple(_rows(self)))
 
     def marginal(self, axis: int) -> GroupedModelTable:
         """Grouped table of model 1 (axis=1) or model 2 (axis=2).

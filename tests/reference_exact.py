@@ -1,10 +1,12 @@
 """Exact values of the measures, in fractions.Fraction, from float columns.
 
-Each function reads a grouped table's or a risk distribution's float64
-columns, converts every entry to the Fraction it stands for, and evaluates
-the measure's defining formula with no rounding. The mean in a variance is
-the exact mass-weighted sum, as the code's is before it rounds: masses are
-not renormalized, so they need only sum to 1 within 1e-9.
+Each function reads a grouped or joint table's or a risk distribution's
+float64 columns, converts every entry to the Fraction it stands for, and
+evaluates the measure's defining formula with no rounding. The mean in a
+variance is the exact mass-weighted sum, as the code's is before it rounds:
+masses are not renormalized, so they need only sum to 1 within 1e-9. A
+model-1 group's mean in a joint table divides by the group's mass, as the
+code's does.
 """
 
 from fractions import Fraction
@@ -102,3 +104,37 @@ def concordance(table) -> Fraction:
         total += h0[r] * (h1[r] / 2 + above)
         above += h1[r]
     return total
+
+
+def subgroup_gains(joint) -> dict[str, tuple[Fraction, Fraction, Fraction]]:
+    """Each model-1 group's mass M = sum(m), mean c = sum(m p) / M and
+    within-group variance sum(m (p - c)**2) / M over its cells, by group key;
+    the group's sd is the root of its variance."""
+    cells: dict[str, list[tuple[Fraction, Fraction]]] = {}
+    for key, m, p in zip(joint.key1.tolist(), _exact(joint.mass), _exact(joint.prevalence)):
+        cells.setdefault(key, []).append((m, p))
+    gains = {}
+    for key, group in cells.items():
+        mass = sum((m for m, _ in group), Fraction(0))
+        mean = sum((m * p for m, p in group), Fraction(0)) / mass
+        gains[key] = mass, mean, sum((m * (p - mean) ** 2 for m, p in group), Fraction(0)) / mass
+    return gains
+
+
+def total_gain(joint) -> Fraction:
+    """sum over model-1 groups of mass * within-group variance."""
+    return sum((mass * var for mass, _, var in subgroup_gains(joint).values()), Fraction(0))
+
+
+def comparison(table1, table2) -> dict[str, Fraction]:
+    """Each ComparisonReport field as the difference of exact measures:
+    model 1's minus model 2's, but for idi and concordance, model 2's minus
+    model 1's; population_mean is model 1's."""
+    return {
+        "population_mean": population_mean(table1),
+        "brier_difference": brier(table1) - brier(table2),
+        "bias_sq_difference": bias_sq(table1) - bias_sq(table2),
+        "precision_difference": precision_loss(table1) - precision_loss(table2),
+        "idi": integrated_discrimination(table2) - integrated_discrimination(table1),
+        "concordance_difference": concordance(table2) - concordance(table1),
+    }

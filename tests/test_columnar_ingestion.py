@@ -119,6 +119,45 @@ class TestIndividualRecordsContract:
             dataclasses.replace(records, risk2=np.array([0.2, 1.5]))
         assert dataclasses.replace(records, risk2=None) == [(0.1, None, 0), (0.3, None, 1)]
 
+    @pytest.mark.parametrize("risk2", [True, False])
+    def test_indexing_matches_iteration(self, tmp_path, risk2):
+        records = load_individuals(_records_file(tmp_path / "i.csv", 20, 5, risk2=risk2))
+        rows = list(records)
+        assert (records.risk2 is not None) == risk2 and len(rows) == 20
+        for i in (0, 7, 19, -1, -8, -20):
+            assert records[i] == rows[i] and type(records[i]) is IndividualRecord
+            assert [type(x) for x in records[i]] == [type(x) for x in rows[i]]
+        for at in (slice(0, 20), slice(3, 9), slice(-5, None), slice(None, -3), slice(8, 8),
+                   slice(15, 40), slice(None, None, 3), slice(None, None, -2)):
+            assert records[at] == rows[at] and type(records[at]) is list
+        for i in (20, -21):
+            with pytest.raises(IndexError):
+                records[i]
+
+    @pytest.mark.parametrize(
+        "column, value, error, message",
+        [
+            ("risk1", 1.5, RiskOutOfRange, "risk1 1.5 outside [0, 1]"),
+            ("risk2", -0.5, RiskOutOfRange, "risk2 -0.5 outside [0, 1]"),
+            ("outcome", 2, InvariantViolation, "outcome 2 must be 0 or 1"),
+        ],
+    )
+    def test_record_check_looks_up_the_faulty_record(self, monkeypatch, column, value, error,
+                                                     message):
+        """The check reads the first faulty record by index: with iteration
+        raising, a fault in the last record still gives its own message."""
+        n = 10_000
+        columns = {"risk1": np.full(n, 0.5), "risk2": np.full(n, 0.25), "outcome": np.zeros(n, int)}
+        columns[column][-1] = value
+
+        def walk(self):
+            raise AssertionError("the record check walked the records")
+
+        monkeypatch.setattr(IndividualRecords, "__iter__", walk)
+        with pytest.raises(error) as info:
+            IndividualRecords(**columns)
+        assert str(info.value) == f"record {n - 1}: {message}"
+
     @pytest.mark.parametrize("risk2", [(0.2, None), (None, 0.3)], ids=["first", "second"])
     def test_risk2_on_some_records_only_is_rejected(self, risk2):
         # As load_individuals rejects a risk2 column filled on some rows only.

@@ -1,11 +1,9 @@
 """Columnar tables: parity with the row builder, column-only CLI, bounded memory."""
 
 import contextlib
-import dataclasses
 import io
 import math
 import tracemalloc
-from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -27,6 +25,7 @@ from riskeval import (
     transfer_calibration,
 )
 from riskeval.cli import main
+from riskeval.distributions import _RowSequence
 
 # Risks whose Python square differs in the last bit from their numpy square;
 # with prevalence 0 the bias term squares exactly these values.
@@ -66,7 +65,9 @@ def _entries(draw, key_sets):
 
 
 def _bits(value):
-    """value with every float as (type name, float.hex) and every table as rows plus repr."""
+    """value with every float as (type name, float.hex), every row or report as
+    (type name, fields), every table as rows plus repr, and every other
+    sequence as a list."""
     if isinstance(value, float):
         return type(value).__name__, value.hex()
     if value is None or isinstance(value, (str, int)):
@@ -74,9 +75,10 @@ def _bits(value):
     for rows in ("groups", "cells"):
         if hasattr(value, rows):
             return _bits(getattr(value, rows)), _bits(value.population_mean), repr(value)
-    if isinstance(value, Sequence):
-        return [_bits(v) for v in value]
-    return type(value).__name__, [_bits(getattr(value, f.name)) for f in dataclasses.fields(value)]
+    items = [_bits(v) for v in value]
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return type(value).__name__, items
+    return items
 
 
 def _outcome(fn, *args):
@@ -184,8 +186,12 @@ def _raise(self):
 
 @pytest.fixture
 def column_only(monkeypatch):
+    """Make every row view raise: the model tables' rows, and iteration and
+    indexing of the report tables and of person-level records."""
     monkeypatch.setattr(riskeval.GroupedModelTable, "groups", property(_raise))
     monkeypatch.setattr(riskeval.JointModelTable, "cells", property(_raise))
+    for name in ("__iter__", "__getitem__"):
+        monkeypatch.setattr(_RowSequence, name, lambda self, *args: _raise(self))
 
 
 def _run(argv):

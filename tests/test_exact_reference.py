@@ -23,7 +23,14 @@ import reference_exact as ref
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from riskeval import make_distribution, make_grouped_table
+from riskeval import (
+    compare,
+    evaluate,
+    make_distribution,
+    make_grouped_table,
+    make_joint_table,
+    subgroup_precision_gain,
+)
 from riskeval.metrics import (
     brier_score,
     calibration_bias_sq,
@@ -266,3 +273,157 @@ class TestDistributionMoments:
         got, exact = dist.variance(), ref.distribution_variance(dist)
         mean = ref.distribution_mean(dist)
         _within(got, exact, _variance_bound(got, exact, dist.mass, dist.mean(), mean))
+
+
+def _joint(n: int, seed: int):
+    """A joint table of n drawn cells in up to 6 model-1 groups and up to n
+    model-2 groups, each group with a risk of its own; cells that share
+    both keys merge."""
+    rng = np.random.default_rng(seed)
+    g1, g2 = rng.integers(0, rng.integers(1, 7), size=n), rng.integers(0, n, size=n)
+    risks = _values(rng, 6)[g1], _values(rng, n)[g2]
+    prevalence, mass = _values(rng, n), _masses(rng, n)
+    keys = [f"a{i}" for i in g1.tolist()], [f"b{j}" for j in g2.tolist()]
+    return make_joint_table(Columns(keys, risks, mass, prevalence))
+
+
+def _subgroups(n: int, seed: int):
+    """_joint(n, seed)'s subgroup report, and each of its rows' exact
+    (mass, mean, variance), in row order."""
+    joint = _joint(n, seed)
+    report, exact = subgroup_precision_gain(joint), ref.subgroup_gains(joint)
+    return joint, report, [exact[key] for key in report.rows.key.tolist()]
+
+
+def _group_variance_bound(got: float, mass: float, exact) -> Fraction:
+    """Bound on |got - V| for a model-1 group's got = T / mass, with T =
+    fsum(m * (d * d)), d = p - c' and c' = fsum(m * p) / mass the rounded
+    group mean; exact is the group's (M, c, V), V = W / M and W = sum(m (p - c)**2).
+
+    A correctly rounded sum of nonnegative terms of k roundings is within
+    ulp / 2 + gamma(k) of its exact value, and ulp(x) / 2 <= u |x|, so
+    within gamma(k + 1) of it. So mass is within gamma(1) M, and the mean's
+    numerator, terms of one rounding, within gamma(2) c M. Then
+    |numerator / mass - c| <= E1 = c M (gamma(2) + gamma(1)) / mass, and the
+    division adds u (c + E1): |c' - c| <= e. The terms of T take four
+    roundings (d counts twice), so T is within gamma(5) of W(c'), and W(c')
+    = W + M (c' - c)**2 exactly, as sum(m (p - c)) = 0: _variance_bound's
+    shift term, with the weights divided by their sum. So |T - W| <= ET =
+    gamma(5) (W + M e**2) + M e**2, |T / mass - V| <= (ET + V gamma(1) M) / mass,
+    and the quotient's rounding adds ulp(got) / 2.
+    """
+    exact_mass, c, v = exact
+    e1 = c * exact_mass * (gamma(2) + gamma(1)) / Fraction(mass)
+    shift = exact_mass * (e1 + U * (c + e1)) ** 2
+    et = gamma(5) * (v * exact_mass + shift) + shift
+    return half_ulp(got) + (et + v * gamma(1) * exact_mass) / Fraction(mass)
+
+
+class TestSubgroupGains:
+    @settings(max_examples=150, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_mass(self, n, seed):
+        """fsum of the group's cell masses, correctly rounded: ulp(got) / 2."""
+        _, report, exact = _subgroups(n, seed)
+        for got, (mass, _, _) in zip(report.rows.mass.tolist(), exact):
+            _within(got, mass, half_ulp(got))
+
+    @settings(max_examples=150, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_variance(self, n, seed):
+        """Within _group_variance_bound of the exact within-group variance."""
+        _, report, exact = _subgroups(n, seed)
+        rows = report.rows
+        for got, mass, group in zip(rows.variance.tolist(), rows.mass.tolist(), exact):
+            _within(got, group[2], _group_variance_bound(got, mass, group))
+
+    @settings(max_examples=150, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_sd(self, n, seed):
+        """sqrt(variance), checked in squares against V, as the root of a
+        fraction need not be one. The variance is within b =
+        _group_variance_bound of V, and the correctly rounded root gives
+        got**2 = variance (1 + t)**2 with |(1 + t)**2 - 1| <= gamma(2), so
+        |got**2 - V| <= b + gamma(2) (V + b)."""
+        _, report, exact = _subgroups(n, seed)
+        rows = report.rows
+        for got, var, mass, group in zip(
+            rows.sd.tolist(), rows.variance.tolist(), rows.mass.tolist(), exact
+        ):
+            b = _group_variance_bound(var, mass, group)
+            _within(Fraction(got) ** 2, group[2], b + gamma(2) * (group[2] + b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_total_gain(self, n, seed):
+        """fsum(mass * variance) over the groups, against sum(M V). A term's
+        product takes one rounding, u mass variance, and mass variance - M V
+        is at most mass b + V ulp(mass) / 2, b the variance's
+        _group_variance_bound; the correctly rounded sum adds ulp(got) / 2."""
+        joint, report, exact = _subgroups(n, seed)
+        rows = report.rows
+        bound = half_ulp(report.total_gain)
+        for var, mass, group in zip(rows.variance.tolist(), rows.mass.tolist(), exact):
+            b = _group_variance_bound(var, mass, group)
+            bound += U * Fraction(mass) * Fraction(var) + mass * b + group[2] * half_ulp(mass)
+        _within(report.total_gain, ref.total_gain(joint), bound)
+
+
+def _measure_bound(name: str, table) -> Fraction:
+    """The bound on the error of evaluate(table)'s field name that its test
+    in TestTableMeasures derives; see that test's docstring."""
+    report = evaluate(table)
+    got, pi, exact_pi = getattr(report, name), report.population_mean, ref.population_mean(table)
+    e, p = Fraction(pi) - exact_pi, Fraction(pi)
+    if name == "bias_sq":
+        return half_ulp(got) + gamma(4) * ref.bias_sq(table)
+    if name == "brier":
+        return half_ulp(got) + gamma(5) * ref.brier(table)
+    if name == "precision_loss":
+        variance = report.prevalence_variance
+        variance_error = _variance_bound(
+            variance, ref.prevalence_variance(table), table.mass, pi, exact_pi
+        )
+        return half_ulp(got) + _outcome_variance_bound(pi, exact_pi) + variance_error
+    if name == "integrated_discrimination":
+        s2, s1 = ref.prevalence_moments(table)
+        cancel = abs(e) * (s2 / (p * exact_pi) + s1 / ((1 - p) * (1 - exact_pi)))
+        return half_ulp(got) + gamma(4) * s2 / p + gamma(6) * s1 / (1 - p) + cancel
+    assert name == "concordance", name
+    exact, k = ref.concordance(table), exact_pi * (1 - exact_pi) / (p * (1 - p))
+    return half_ulp(got) + gamma(2 * len(table.mass) + 6) * exact * k + exact * abs(k - 1)
+
+
+# Each difference field of ComparisonReport, the MetricsReport field it is
+# the difference of.
+DIFFERENCES = {
+    "brier_difference": "brier",
+    "bias_sq_difference": "bias_sq",
+    "precision_difference": "precision_loss",
+    "idi": "integrated_discrimination",
+    "concordance_difference": "concordance",
+}
+
+
+class TestComparisonReport:
+    @settings(max_examples=150, deadline=None)
+    @given(SIZES, SEEDS)
+    def test_fields(self, n, seed):
+        """compare of _joint(n, seed)'s two marginals, each with a population
+        mean in (0, 1). population_mean is model 1's, bounded as in
+        test_population_mean. A difference field subtracts two measures that
+        evaluate computed, each within the bound E that its test derives
+        (_measure_bound), and takes one rounding: its error is at most
+        ulp(got) / 2 + E1 + E2, and idi's carries IDI's cancellation term."""
+        joint = _joint(n, seed)
+        tables = joint.marginal(1), joint.marginal(2)
+        assume(all(0.0 < t.population_mean < 1.0 for t in tables))
+        report, exact = compare(*tables), ref.comparison(*tables)
+        pi = report.population_mean
+        bounds = {"population_mean": half_ulp(pi) + gamma(1) * exact["population_mean"]}
+        for field, measure in DIFFERENCES.items():
+            got = getattr(report, field)
+            bounds[field] = half_ulp(got) + sum(_measure_bound(measure, t) for t in tables)
+        for field, bound in bounds.items():
+            error = abs(Fraction(getattr(report, field)) - exact[field])
+            assert error <= bound, f"{field}: error {float(error)!r} exceeds bound {float(bound)!r}"

@@ -151,7 +151,12 @@ def _write(path, header, rows):
 
 @pytest.fixture
 def no_copies(monkeypatch):
-    """Make every holder fail on a writable array, which it would copy."""
+    """Make every holder fail on a writable array, which it would copy.
+
+    The holder classes bind _own_arrays as their __post_init__ when they are
+    created, so it is patched on each class that binds it; IndividualRecords
+    calls it by its name in ingestion.
+    """
     own = distributions._own_arrays
 
     def owned(holder):
@@ -159,8 +164,9 @@ def no_copies(monkeypatch):
             assert not (isinstance(value, np.ndarray) and value.flags.writeable), name
         own(holder)
 
-    for module in (distributions, tables, comparison, ingestion):
-        monkeypatch.setattr(module, "_own_arrays", owned)
+    for holder in (distributions._RowView, distributions._RowSequence, tables.KeyColumn):
+        monkeypatch.setattr(holder, "__post_init__", owned)
+    monkeypatch.setattr(ingestion, "_own_arrays", owned)
 
 
 def test_builders_and_loaders_hand_over_arrays_without_copies(tmp_path, no_copies):
