@@ -25,9 +25,15 @@ CSV text fields holding a comma, a double quote or a line break are quoted.
 The command line loads numpy with one OpenBLAS thread unless
 OPENBLAS_NUM_THREADS is set; `import riskeval` alone is lazy and leaves
 BLAS threading to the caller.
+
+Importing this module ends with gc.freeze(): the objects of every module
+imported so far live until exit, and frozen objects are skipped by the
+collections the interpreter runs as it exits (about 20 ms of a command's
+wall time). The saving lies outside every traced layer.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -81,6 +87,9 @@ from .synthetic import (
     risk_distribution,
 )
 from .tables import format_label, perfect_model_table
+
+# The imported modules live until exit; the collector need not walk them again.
+gc.freeze()
 
 METRIC_FIELDS = MetricsReport._fields
 SUBGROUP_FIELDS = tuple(name for name in SubgroupGain._fields if name != "key")

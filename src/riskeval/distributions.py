@@ -174,29 +174,6 @@ def _rows(holder, at: slice = slice(None)):
     return map(holder._row, *(repeat(None) if c is None else c[at].tolist() for c in columns))
 
 
-class _RowSequence(Sequence):
-    """A read-only sequence of _row rows, held by a frozen dataclass whose
-    fields are their columns; rows are built by _rows on access, and
-    equality is identity."""
-
-    __post_init__ = _own_arrays
-
-    def columns(self) -> list:
-        return [getattr(self, f.name) for f in fields(self)]
-
-    def __len__(self) -> int:
-        return len(self.columns()[0])
-
-    def __iter__(self):
-        return _rows(self)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(_rows(self, i))
-        i = range(len(self))[i]  # a whole index in range, or IndexError
-        return next(_rows(self, slice(i, i + 1)))
-
-
 class _RowView:
     """Equality, hash and repr through the row view, as for a table of rows."""
 
@@ -219,6 +196,30 @@ class _RowView:
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._repr_fields)
         return f"{type(self).__name__}({fields})"
+
+
+class _RowSequence(_RowView, Sequence):
+    """A read-only sequence of _row rows, held by a frozen dataclass whose
+    fields are their columns; rows are built by _rows on access, and it
+    compares and hashes as the tuple of its rows."""
+
+    def _compared(self) -> tuple:
+        return tuple(self)
+
+    def columns(self) -> list:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.columns()[0])
+
+    def __iter__(self):
+        return _rows(self)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(_rows(self, i))
+        i = range(len(self))[i]  # a whole index in range, or IndexError
+        return next(_rows(self, slice(i, i + 1)))
 
 
 @dataclass(frozen=True, eq=False, repr=False)

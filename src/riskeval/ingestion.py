@@ -344,14 +344,19 @@ def load_individuals(path) -> IndividualRecords:
     record in file order raises through its own checks (_check_record). A
     risk2 column filled on some rows only raises after that.
     """
-    single = _first_row(path)[1:2] == [""]  # risk2 as text: a filled field is never blank
-    plain = _plain_columns(path, INDIVIDUALS_HEADER, ("f8", "U1" if single else "f8", "U2"))
+    # Text fields are read as bytes: numpy's reader stores a character below 256 as
+    # its byte and refuses the rest, and a file holding a NUL never gets there, so
+    # only the field 1 reads b"1". risk2 as text: a filled field is never blank.
+    single = _first_row(path)[1:2] == [""]
+    plain = _plain_columns(path, INDIVIDUALS_HEADER, ("f8", "S1" if single else "f8", "S2"))
     if plain is not None and single:
-        plain = [plain[0], None, plain[2]] if (plain[1] == "").all() else None
+        plain = [plain[0], None, plain[2]] if (plain[1] == b"").all() else None
     if plain is not None:
         risk1, risk2, outcome_text = plain
-        ones = outcome_text == "1"
-        outcome = _sealed(np.where(ones | (outcome_text == "0"), ones.view(np.uint8), np.uint8(2)))
+        codes = outcome_text.view(np.uint16)  # a field's two bytes as one number
+        zero, one = np.array([b"0", b"1"], "S2").view(np.uint16)
+        ones = codes == one
+        outcome = _sealed(np.where(ones | (codes == zero), ones.view(np.uint8), np.uint8(2)))
         with contextlib.suppress(InvariantViolation):  # else csv.reader's checks name the line
             return IndividualRecords(risk1=risk1, risk2=risk2, outcome=outcome)
     path, linenos, columns = _read_columns(path, INDIVIDUALS_HEADER)
@@ -373,12 +378,13 @@ def load_individuals(path) -> IndividualRecords:
 
 def _bin_ids(
     risks: np.ndarray, scheme: str, k: int
-) -> tuple[np.ndarray, KeyColumn, np.ndarray | None]:
+) -> tuple[np.ndarray, KeyColumn, np.ndarray, np.ndarray | None]:
     """Assign each record a bin id; returns ids, the bin keys (entry i keys
-    bin id i), and the exact bin risks when the scheme fixes them."""
+    bin id i), each bin's record count, and the exact bin risks when the
+    scheme fixes them."""
     if scheme == "unique-values":
-        values, ids = np.unique(risks, return_inverse=True)
-        return ids, _labels(values), values
+        values, ids, counts = np.unique(risks, return_inverse=True, return_counts=True)
+        return ids, _labels(values), counts, values
     if scheme != "quantiles":
         raise ParameterOutOfRange(f"unknown binning scheme {scheme!r}")
     if k < 2:
@@ -387,16 +393,24 @@ def _bin_ids(
     if k <= n:  # more bins than records are refused before k - 1 cuts are made
         # A cut is the last risk of a bin in sorted order; a record's bin counts the cuts
         # below its risk, so a tie run straddling a cut falls in the lower bin.
-        at = [n * j // k - 1 for j in range(1, k)]
-        ids = np.searchsorted(np.partition(risks, at)[at], risks, side="left")
-        filled = np.bincount(ids, minlength=k) > 0
-    # k filled bins hold k distinct risks
-    distinct = k if k <= n and filled.all() else len(np.unique(risks))
-    if distinct < k:
-        raise DegenerateBins(f"{distinct} distinct risks cannot fill {k} bins")
+        cuts = np.sort(risks)[[n * j // k - 1 for j in range(1, k)]]
+        if len(cuts) > _COMPARED_CUTS:
+            ids = np.searchsorted(cuts, risks, side="left")
+        else:
+            below = np.zeros(n, np.uint8)
+            for cut in cuts.tolist():
+                below += risks > cut
+            ids = below.astype(np.intp)  # bin_individuals multiplies ids into pair ids
+        counts = np.bincount(ids, minlength=k)
+        filled = counts > 0
+    if k > n or not filled.all():
+        distinct = len(np.unique(risks))  # k filled bins hold k distinct risks
+        if distinct < k:
+            raise DegenerateBins(f"{distinct} distinct risks cannot fill {k} bins")
+        ids, counts = (np.cumsum(filled) - 1)[ids], counts[filled]  # emptied bins are dropped
     width = len(str(k))
     labels = coded(f"q{int(old) + 1:0{width}d}" for old in np.flatnonzero(filled))
-    return (np.cumsum(filled) - 1)[ids], labels, None
+    return ids, labels, counts, None
 
 
 def _bin_model(risks: np.ndarray, outcomes: np.ndarray, scheme: str, k: int):
@@ -405,8 +419,7 @@ def _bin_model(risks: np.ndarray, outcomes: np.ndarray, scheme: str, k: int):
     A bin's risk is its exact value when the scheme fixes it, else the mean
     member risk.
     """
-    ids, labels, risk_of = _bin_ids(risks, scheme, k)
-    counts = np.bincount(ids, minlength=len(labels))
+    ids, labels, counts, risk_of = _bin_ids(risks, scheme, k)
     if risk_of is None:
         risk_of = np.bincount(ids, weights=risks, minlength=len(labels)) / counts
     prev = np.bincount(ids, weights=outcomes, minlength=len(labels)) / counts
@@ -552,6 +565,9 @@ def example_cross_decile_path() -> Path:
 _QUOTED = re.compile('[,"\r\n]')  # a CSV text field holding one of these is quoted
 _PAD = 0xFF  # fills field rows; never a byte of UTF-8 text
 _BLOCK_ROWS = 1 << 13  # rows formatted at a time, so temporaries stay bounded
+# Up to this many quantile cuts (below 256, as ids are counted in uint8), a
+# record's bin is counted by one comparison per cut; more are binary searched.
+_COMPARED_CUTS = 16
 
 
 def _csv_text(v) -> str:

@@ -32,10 +32,10 @@ from riskeval.ingestion import (
 )
 
 
-def _records_file(path, n, seed, risk2=True):
+def _records_file(path, n, seed, risk2=True, digits=6):
     rng = np.random.default_rng(seed)
-    risk1 = np.round(rng.beta(2.0, 8.0, size=n), 6)
-    second = np.round(np.clip(risk1 + rng.normal(0.0, 0.05, size=n), 0.0, 1.0), 6)
+    risk1 = np.round(rng.beta(2.0, 8.0, size=n), digits)
+    second = np.round(np.clip(risk1 + rng.normal(0.0, 0.05, size=n), 0.0, 1.0), digits)
     outcome = (rng.random(n) < risk1).astype(int)
     lines = ["risk1,risk2,outcome"]
     if risk2:
@@ -378,10 +378,11 @@ def _no_csv_reader(*args, **kwargs):
     raise AssertionError("a plain file went to csv.reader")
 
 
+@pytest.mark.parametrize("digits", [6, 12])  # 12 as in the benchmark's records inputs
 @pytest.mark.parametrize("risk2", [True, False])
-def test_plain_records_skip_csv_reader(tmp_path, monkeypatch, risk2):
+def test_plain_records_skip_csv_reader(tmp_path, monkeypatch, risk2, digits):
     # risk2 filled on every row or blank on every row: both files are plain.
-    path = _records_file(tmp_path / "r.csv", 1000, 3, risk2=risk2)
+    path = _records_file(tmp_path / "r.csv", 1000, 3, risk2=risk2, digits=digits)
     lines = path.read_text().splitlines(keepends=True)
     risk1, rest = lines[500].split(",", 1)
     quoted = tmp_path / "q.csv"  # one quoted field sends the same records to csv.reader
@@ -485,3 +486,85 @@ def test_quantile_bins_match_sort_and_walk(case):
     (ids, labels), (want_ids, want_labels) = got, want
     assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
     assert labels.tolist() == want_labels
+
+
+def _partition_cut_ids(risks, k):
+    """Quantile ids and labels as np.partition cuts and np.searchsorted gave them."""
+    n = len(risks)
+    if k <= n:
+        at = [n * j // k - 1 for j in range(1, k)]
+        ids = np.searchsorted(np.partition(risks, at)[at], risks, side="left")
+        filled = np.bincount(ids, minlength=k) > 0
+    distinct = k if k <= n and filled.all() else len(np.unique(risks))
+    if distinct < k:
+        raise DegenerateBins(f"{distinct} distinct risks cannot fill {k} bins")
+    width = len(str(k))
+    labels = [f"q{int(old) + 1:0{width}d}" for old in np.flatnonzero(filled)]
+    return (np.cumsum(filled) - 1)[ids], labels
+
+
+@st.composite
+def _grid_risks(draw, k_low, k_high):
+    # Few grid values (and -0.0 beside 0.0), so tie runs straddle cuts.
+    n = draw(st.integers(max(2, k_low), 500))
+    k = draw(st.integers(k_low, min(n, k_high)))
+    steps = draw(st.integers(1, 12))
+    grid = st.integers(0, steps).map(lambda i: i / steps) | st.just(-0.0)
+    return np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float), k
+
+
+CUTS = ingestion._COMPARED_CUTS
+
+
+@pytest.mark.parametrize("k_low, k_high", [(2, CUTS + 1), (CUTS + 2, 40)],
+                         ids=["counted-cuts", "searched-cuts"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_quantile_ids_match_partition_cuts(k_low, k_high, data):
+    risks, k = data.draw(_grid_risks(k_low, k_high))
+    want = _binned(_partition_cut_ids, risks, k)
+    got = _binned(lambda r, k: ingestion._bin_ids(r, "quantiles", k), risks, k)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (ids, labels, counts, exact), (want_ids, want_labels) = got, want
+    assert ids.dtype == want_ids.dtype and np.array_equal(ids, want_ids)
+    assert labels.tolist() == want_labels and exact is None
+    assert counts.tolist() == np.bincount(want_ids).tolist()
+
+
+# Outcome and single-model risk2 fields, each in the last of two records, with
+# the records or the message that loading gave when numpy's reader took these
+# columns as unicode text; "plain" when numpy's reader alone read the file.
+TEXT_FIELDS = [
+    ("outcome", "0", "plain", [(0.1, 0.2, 0), (0.3, 0.4, 0)]),
+    ("outcome", "1", "plain", [(0.1, 0.2, 0), (0.3, 0.4, 1)]),
+    ("outcome", "2", "csv", "{path}:3: outcome '2' must be 0 or 1"),
+    ("outcome", "10", "csv", "{path}:3: outcome '10' must be 0 or 1"),
+    ("outcome", "1.0", "csv", "{path}:3: outcome '1.0' must be 0 or 1"),
+    ("outcome", " 1", "csv", [(0.1, 0.2, 0), (0.3, 0.4, 1)]),
+    ("outcome", "é", "csv", "{path}:3: outcome 'é' must be 0 or 1"),
+    ("outcome", "", "csv", "{path}:3: outcome '' must be 0 or 1"),
+    ("risk2", "", "plain", [(0.1, None, 0), (0.3, None, 1)]),
+    ("risk2", "0.5", "csv", "{path}: risk2 must be present on all rows or none"),
+    ("risk2", " ", "csv", [(0.1, None, 0), (0.3, None, 1)]),
+]
+
+
+@pytest.mark.parametrize("column, field, reader, want", TEXT_FIELDS)
+def test_text_fields_keep_their_records_and_messages(tmp_path, monkeypatch, column, field,
+                                                      reader, want):
+    path = tmp_path / "r.csv"
+    body = "0.1,0.2,0\n0.3,0.4,{}\n" if column == "outcome" else "0.1,,0\n0.3,{},1\n"
+    path.write_text("risk1,risk2,outcome\n" + body.format(field), encoding="utf-8")
+    calls = []
+    read_columns = ingestion._read_columns
+    monkeypatch.setattr(ingestion, "_read_columns", lambda *a: calls.append(a) or read_columns(*a))
+    if isinstance(want, str):
+        with pytest.raises(ingestion.ParseError) as raised:
+            load_individuals(path)
+        assert str(raised.value) == want.format(path=path)
+    else:
+        assert load_individuals(path) == [IndividualRecord(*r) for r in want]
+    assert bool(calls) == (reader == "csv")
+

@@ -167,7 +167,7 @@ class TestViews:
         assert table.key.tolist() == [r.key for r in rows]
         assert table.sd.tolist() == [r.sd for r in rows]
         assert all(type(x) is float for x in tuple(table[-1])[1:])
-        assert table != subgroup_precision_gain(joint_b).rows  # compared by identity
+        assert table == subgroup_precision_gain(joint_b).rows  # compared by rows
 
 
 @pytest.mark.parametrize("first", [0.0, -0.0])

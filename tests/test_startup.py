@@ -101,3 +101,12 @@ def test_all_is_unchanged_and_every_name_resolves():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         riskeval.no_such_name
+
+
+def test_cli_import_freezes_the_collector_and_imports_the_library():
+    # bench/run.py's load_riskeval takes these modules from sys.modules right
+    # after `import riskeval.cli`, so the CLI must import every one of them.
+    modules = ["cli", "comparison", "distributions", "ingestion", "metrics", "synthetic", "tables"]
+    code = ("import gc, sys, riskeval.cli; print(gc.get_freeze_count() > 0, "
+            f"all('riskeval.' + m in sys.modules for m in {modules}))")
+    assert _child(code) == "True True"

@@ -200,3 +200,20 @@ def test_report_columns_are_read_only(joint_b, model1_b, model2_b):
     for column in (bias.bias1, bias.risk2, gain.variance, gain.sd, gain.key_column.codes):
         with pytest.raises(ValueError, match="read-only"):
             column[0] = column[0]
+
+
+def test_report_tables_compare_and_hash_by_rows(joint_b, model1_b, model2_b):
+    gains = [rv.subgroup_precision_gain(joint_b) for _ in range(2)]
+    assert gains[0] == gains[1] and hash(gains[0]) == hash(gains[1])
+    assert gains[0].rows == gains[1].rows and hash(gains[0].rows) == hash(tuple(gains[1].rows))
+    biases = [rv.cross_classified_bias(joint_b, model1_b, model2_b) for _ in range(2)]
+    assert biases[0] == biases[1] and hash(biases[0]) == hash(biases[1])
+    assert biases[0] != dataclasses.replace(biases[0], mass=biases[0].mass / 2)
+    assert biases[0] != list(biases[0])  # a table equals tables of its type only
+
+
+def test_records_equal_their_list_and_stay_unhashable():
+    records = ingestion.IndividualRecords(_f(0.1, 0.3), None, np.array([0, 1]))
+    assert records == list(records) == ingestion.IndividualRecords.from_records(records)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(records)
