@@ -86,7 +86,6 @@ _EXPORTS = {
         "CovariateCell",
         "SyntheticPopulation",
         "build_population",
-        "closed_form_prevalence_oracle",
         "cross_classify",
         "project_model",
         "risk_distribution",

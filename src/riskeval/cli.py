@@ -185,7 +185,7 @@ def parse_subset(text: str) -> tuple[str, ...]:
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
     try:
-        alphas = tuple(float(a) for a in text.split(","))
+        alphas = tuple(float(a) + 0.0 for a in text.split(","))  # -0 is population 0
     except ValueError:
         raise ParameterOutOfRange(f"cannot parse --alpha {text!r}") from None
     labels = [format_label(a) for a in alphas]

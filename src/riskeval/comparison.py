@@ -8,14 +8,13 @@ of the coarser model, the spread of cross-classified prevalences is exactly
 that group's contribution to the precision gain.
 """
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import _RowSequence, _check_unit_interval, _exact_sum, _exact_sums, _sealed
+from .distributions import _RowSequence, _exact_sum, _exact_sums, _sealed
 from .errors import (
     GroupKeyMismatch,
     InternalInvariantError,
@@ -28,9 +27,7 @@ from .tables import (
     GroupedModelTable,
     JointModelTable,
     KeyColumn,
-    _floats,
-    _outside_unit,
-    _raise_first,
+    _first,
     make_grouped_table,
     rows_of,
 )
@@ -126,44 +123,24 @@ class CellBiasTable(_RowSequence):
     _row = CellBias
 
 
-def _assigned(risks: Mapping[str, float] | GroupedModelTable, keys: KeyColumn) -> np.ndarray:
-    """risks[key] for each entry's key as float64 (a mapping is looked up once
-    per label of the vocabulary); NaN where a key has none."""
-    if isinstance(risks, GroupedModelTable):
-        return np.append(risks.risk, math.nan)[rows_of(risks, keys)]  # -1: the appended NaN
-    return _floats([risks.get(key, math.nan) for key in keys.labels.tolist()])[keys.codes]
-
-
-def _check_cell(joint: JointModelTable, risks1, risks2, i: int) -> None:
-    """Cell i's own checks: both keys covered, then both risks in [0, 1]."""
-    keys = joint.key1[i], joint.key2[i]
-    risks = [
-        dict(zip(r.key.tolist(), r.risk.tolist())) if isinstance(r, GroupedModelTable) else r
-        for r in (risks1, risks2)
-    ]
-    for key, r in zip(keys, risks):
-        if key not in r:
-            raise MissingAssignment(f"no assigned risk for group {key!r}")
-    for name, key, r in zip(("risk1", "risk2"), keys, risks):
-        _check_unit_interval(name, r[key])
-
-
 def cross_classified_bias(
-    joint: JointModelTable,
-    risks1: Mapping[str, float] | GroupedModelTable,
-    risks2: Mapping[str, float] | GroupedModelTable,
+    joint: JointModelTable, table1: GroupedModelTable, table2: GroupedModelTable
 ) -> CellBiasTable:
     """Per-cell bias of each model's assigned risk against the cell prevalence.
 
-    risks1 and risks2 map group keys to assigned risks, or are the grouped
-    tables; every joint cell's keys must be covered. The first cell, in cell
-    order, whose keys are not covered or whose risks are not in [0, 1] raises.
+    table1 and table2 are the two models' grouped tables; each cell takes the
+    risk of the group whose key it carries. The first cell, in cell order,
+    whose model-1 or else model-2 key has no group raises. For risks learned
+    on another population, pass transfer_calibration(source, joint.marginal(k)).
     """
-    r1, r2 = _assigned(risks1, joint.key1_column), _assigned(risks2, joint.key2_column)
-    bad = _outside_unit(r1) | _outside_unit(r2)
-    _raise_first(bad, "cell", lambda i: _check_cell(joint, risks1, risks2, i))
-    p = joint.prevalence
     keys = joint.key1_column, joint.key2_column
+    # Row -1, a key with no group, picks the appended NaN; a table's risks are never NaN.
+    r1, r2 = (np.append(t.risk, np.nan)[rows_of(t, k)] for t, k in zip((table1, table2), keys))
+    i = _first(np.isnan(r1) | np.isnan(r2))
+    if i < len(r1):
+        key = (joint.key1 if np.isnan(r1[i]) else joint.key2)[i]
+        raise MissingAssignment(f"no assigned risk for group {key!r}")
+    p = joint.prevalence
     return CellBiasTable(*keys, joint.mass, p, *map(_sealed, (r1, r2, r1 - p, r2 - p)))
 
 

@@ -48,7 +48,7 @@ class MeanMismatch(ValidationError):
 
 
 class MissingAssignment(ValidationError):
-    """A group key has no assigned risk in the supplied mapping."""
+    """A joint cell's group key has no group in its model's table."""
 
 
 class GroupKeyMismatch(ValidationError):

@@ -125,6 +125,20 @@ def relabeled(table, transform):
     )
 
 
+def renamed(table, key):
+    """Same groups, with group key renamed to key + "?", so that cells
+    carrying key find no group."""
+    return rv.make_grouped_table(
+        (g.key + "?" if g.key == key else g.key, g.risk, g.mass, g.prevalence)
+        for g in table.groups
+    )
+
+
+def risk_mapping(table) -> dict:
+    """A grouped table's assigned risks by key."""
+    return dict(zip(table.key.tolist(), table.risk.tolist()))
+
+
 @pytest.fixture
 def grouped_factory():
     return random_grouped_table

@@ -260,9 +260,8 @@ class TestCompare:
         write_grouped(model2_b, g2)
         write_joint(joint_b, jt)
         tables = [riskeval.load_grouped(p) for p in (g1, g2)]
-        mappings = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in tables]
         with pytest.raises(riskeval.MissingAssignment) as want:
-            riskeval.cross_classified_bias(riskeval.load_joint(jt), *mappings)
+            riskeval.cross_classified_bias(riskeval.load_joint(jt), *tables)
         assert str(want.value) == "no assigned risk for group '0.1'"
         out = tmp_path / "out"
         assert main(["compare", str(g1), str(g2), str(jt), "--out", str(out)]) == 2
@@ -463,13 +462,25 @@ class TestSynth:
         assert "wrote" not in captured.out
         assert captured.err == "error: cross-classification failed\n"
 
-    @pytest.mark.parametrize("alphas", ["0.2,0.2", "0.2,0.20", "0.8,0.2,0.2000000000001"])
+    @pytest.mark.parametrize(
+        "alphas", ["0.2,0.2", "0.2,0.20", "0.8,0.2,0.2000000000001", "-0,0"]
+    )
     def test_repeated_alpha_exits_2(self, alphas, tmp_path, capsys):
-        # Equal 12-digit labels would name one population's files twice.
+        # Equal 12-digit labels would name one population's files twice;
+        # -0 is the population 0.
         out = tmp_path / "out"
-        assert main(["synth", "--alpha", alphas, "--out", str(out)]) == 2
-        assert f"--alpha {alphas!r} repeats 0.2" in capsys.readouterr().err
+        assert main(["synth", f"--alpha={alphas}", "--out", str(out)]) == 2
+        label = "0" if alphas == "-0,0" else "0.2"
+        assert f"--alpha {alphas!r} repeats {label}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_zero_alpha_writes_alpha0_files(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--alpha=-0", "--out", str(out)]) == 0
+        capsys.readouterr()
+        names = sorted(p.name for p in out.iterdir())
+        assert "risk_distribution_alpha0.csv" in names
+        assert not [n for n in names if "alpha-0" in n]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         out1, out2 = tmp_path / "a", tmp_path / "b"

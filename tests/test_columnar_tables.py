@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import reference_tables as ref
 import riskeval
+from conftest import renamed, risk_mapping
 from riskeval import (
     CellBias,
     SubgroupGain,
@@ -125,15 +126,13 @@ def test_joint_tables_match_row_builder(cells, data):
     (new1, old1), (new2, old2) = margins
     _same(compare, ref.compare, (new1, new2), (old1, old2))
     _same(transfer_calibration, ref.transfer_calibration, (new1, new1), (old1, old1))
-    risks = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in (new1, new2)]
+    tables = [new1, new2]
     which = data.draw(st.sampled_from([None, 0, 1]))
-    if which is not None:
-        key = data.draw(st.sampled_from(sorted(risks[which])))
-        if data.draw(st.booleans()):
-            del risks[which][key]
-        else:
-            risks[which][key] = data.draw(st.sampled_from(ODD_VALUES))
-    _same(cross_classified_bias, ref.cross_classified_bias, (new, *risks), (old, *risks))
+    if which is not None:  # one group's key renamed off the joint table's
+        key = data.draw(st.sampled_from(tables[which].key.tolist()))
+        tables[which] = renamed(tables[which], key)
+    risks = map(risk_mapping, tables)
+    _same(cross_classified_bias, ref.cross_classified_bias, (new, *tables), (old, *risks))
 
 
 class TestViews:
@@ -152,8 +151,7 @@ class TestViews:
         assert t1 != make_grouped_table([("a", 0.1, 0.25, 0.5), ("b", 0.3, 0.75, 0.25)])
 
     def test_cell_bias_table_is_a_sequence_of_rows(self, joint_b, model1_b, model2_b):
-        risks = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in (model1_b, model2_b)]
-        table = cross_classified_bias(joint_b, *risks)
+        table = cross_classified_bias(joint_b, model1_b, model2_b)
         rows = list(table)
         assert len(table) == len(rows) == 9 and all(isinstance(r, CellBias) for r in rows)
         assert [table[0], table[-1]] == [rows[0], rows[-1]] and table[2:5] == rows[2:5]
@@ -254,9 +252,7 @@ def test_compare_tables_memory_is_bounded(tmp_path):
     tracemalloc.start()
     try:
         joint = load_joint(path)
-        table1, table2 = joint.marginal(1), joint.marginal(2)
-        risks = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in (table1, table2)]
-        cross_classified_bias(joint, *risks)
+        cross_classified_bias(joint, joint.marginal(1), joint.marginal(2))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -7,13 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import joint_as_grouped, random_grouped_table, random_joint_table
+import reference_tables as ref
+from conftest import (
+    joint_as_grouped,
+    random_grouped_table,
+    random_joint_table,
+    renamed,
+    risk_mapping,
+)
 from riskeval import (
-    GroupedModelTable,
     GroupKeyMismatch,
     MeanMismatch,
     MissingAssignment,
-    RiskOutOfRange,
     brier_score,
     calibration_bias_sq,
     compare,
@@ -138,72 +143,57 @@ class TestCrossClassifiedBias:
     def test_transferred_models_underestimate_top_cell(
         self, joint_b, model1_a, model2_a
     ):
-        risks1 = {g.key: g.prevalence for g in model1_a.groups}
-        risks2 = {g.key: g.prevalence for g in model2_a.groups}
-        rows = cross_classified_bias(joint_b, risks1, risks2)
+        table1 = transfer_calibration(model1_a, joint_b.marginal(1))
+        table2 = transfer_calibration(model2_a, joint_b.marginal(2))
+        rows = cross_classified_bias(joint_b, table1, table2)
         assert len(rows) == 9
         top = max(rows, key=lambda c: c.prevalence)
         assert abs(top.prevalence - 0.676) <= TOL
         assert top.bias1 < 0.0 and top.bias2 < 0.0
         assert abs(top.risk1 - 0.3304) <= TOL
         assert abs(top.risk2 - 0.484) <= TOL
+        # The source prevalences as a mapping give the same bits.
+        risks1 = {g.key: g.prevalence for g in model1_a.groups}
+        risks2 = {g.key: g.prevalence for g in model2_a.groups}
+        assert repr(list(rows)) == repr(ref.cross_classified_bias(joint_b, risks1, risks2))
 
     def test_self_scored_diagonal_has_zero_bias(self, pop_a):
         joint = cross_classify(pop_a, ("z0", "z1"), ("z0", "z1"))
-        risks = {c.key1: c.risk1 for c in joint.cells}
-        for row in cross_classified_bias(joint, risks, risks):
+        table = joint.marginal(1)
+        for row in cross_classified_bias(joint, table, table):
             assert abs(row.bias1) <= TOL
             assert abs(row.bias2) <= TOL
 
     def test_missing_assignment_rejected(self, joint_b, model1_b, model2_b):
-        risks1 = {g.key: g.risk for g in model1_b.groups}
-        risks2 = {g.key: g.risk for g in model2_b.groups}
-        incomplete = dict(risks1)
-        incomplete.popitem()
+        incomplete = renamed(model1_b, model1_b.key[-1])
         with pytest.raises(MissingAssignment):
-            cross_classified_bias(joint_b, incomplete, risks2)
+            cross_classified_bias(joint_b, incomplete, model2_b)
 
     @given(st.integers(0, 2**32 - 1))
     def test_grouped_tables_give_the_bits_of_their_mappings(self, seed):
         joint = random_joint_table(np.random.default_rng(seed))
         tables = joint.marginal(1), joint.marginal(2)
-        mappings = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in tables]
-        for mixed in (tables, mappings, (tables[0], mappings[1])):
-            got = cross_classified_bias(joint, *mixed).columns()
-            want = cross_classified_bias(joint, *mappings).columns()
-            assert [c.tolist() for c in got[:2]] == [c.tolist() for c in want[:2]]
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(got[2:], want[2:]))
+        got = cross_classified_bias(joint, *tables)
+        want = ref.cross_classified_bias(joint, *map(risk_mapping, tables))
+        assert repr(list(got)) == repr(want)
 
     def test_first_bad_cell_message_is_the_mappings(self, joint_b, model1_b, model2_b):
-        """A grouped table reports the first bad cell as its mapping does."""
+        """The first bad cell raises as the reference given key-to-risk
+        mappings does; a cell missing both keys names its model-1 key."""
         late, early = joint_b.key1[5], joint_b.key2[3]
-        renamed = [
-            make_grouped_table(
-                (g.key + "?" if g.key == key else g.key, g.risk, g.mass, g.prevalence)
-                for g in t.groups
-            )
-            for t, key in ((model1_b, late), (model2_b, early))
-        ]
-        mappings = [dict(zip(t.key.tolist(), t.risk.tolist())) for t in renamed]
-        out_of_range = dict(zip(model2_b.key.tolist(), model2_b.risk.tolist()), **{early: 1.5})
-        for risks1, risks2, error in (
-            (renamed[0], renamed[1], MissingAssignment),
-            (renamed[0], model2_b, MissingAssignment),
-            (model1_b, out_of_range, RiskOutOfRange),
+        renamed1, renamed2 = renamed(model1_b, late), renamed(model2_b, early)
+        first1, first2 = renamed(model1_b, joint_b.key1[0]), renamed(model2_b, joint_b.key2[0])
+        for table1, table2, key in (
+            (renamed1, renamed2, early),
+            (renamed1, model2_b, late),
+            (model1_b, renamed2, early),
+            (first1, first2, joint_b.key1[0]),
         ):
-            with pytest.raises(error) as got:
-                cross_classified_bias(joint_b, risks1, risks2)
-            as_mapping = [
-                r if not isinstance(r, GroupedModelTable)
-                else dict(zip(r.key.tolist(), r.risk.tolist()))
-                for r in (risks1, risks2)
-            ]
-            with pytest.raises(error) as want:
-                cross_classified_bias(joint_b, *as_mapping)
-            assert str(got.value) == str(want.value)
-        assert str(got.value) == "risk2 1.5 outside [0, 1]"
-        with pytest.raises(MissingAssignment, match=repr(early)):
-            cross_classified_bias(joint_b, *mappings)
+            with pytest.raises(MissingAssignment) as got:
+                cross_classified_bias(joint_b, table1, table2)
+            with pytest.raises(MissingAssignment) as want:
+                ref.cross_classified_bias(joint_b, risk_mapping(table1), risk_mapping(table2))
+            assert str(got.value) == str(want.value) == f"no assigned risk for group {key!r}"
 
 
 class TestSubgroupPrecisionGain:

@@ -20,7 +20,7 @@ ALL = [
     "RiskDistribution", "RiskEvalError", "RiskOutOfRange", "SubgroupGain",
     "SubgroupGainReport", "SubgroupGainTable", "SyntheticPopulation", "ValidationError",
     "ZeroPersonYears", "attributes_diagram", "bin_individuals", "brier_score",
-    "build_population", "calibration_bias_sq", "closed_form_prevalence_oracle", "compare",
+    "build_population", "calibration_bias_sq", "compare",
     "comparison", "concordance", "conditional_distributions", "constant_distribution",
     "cross_classified_bias", "cross_classify", "deterministic_distribution", "distributions",
     "errors", "evaluate", "example_cross_decile_path", "ingestion",

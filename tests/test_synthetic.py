@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from riskeval import (
     ParameterOutOfRange,
     build_population,
-    closed_form_prevalence_oracle,
     cross_classify,
     perfect_model_table,
     project_model,
@@ -38,6 +37,28 @@ interior_alphas = st.integers(1, 999).map(lambda i: i / 1000.0)
 
 def closed_form_variance(alpha: float) -> float:
     return 7.2e-4 * (1.0 + 3.0 * alpha) ** 3
+
+
+def closed_form_prevalence_oracle(alpha: float, z0: int, z1: int, z2: int | None = None) -> float:
+    """Exact subgroup prevalence for the two- or three-covariate model.
+
+    Averaging the doubling rule over the unobserved binary covariates gives a
+    factor (1 + alpha) per hidden covariate.
+    """
+    alpha = float(alpha)
+    if not math.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
+        raise ParameterOutOfRange(f"alpha {alpha} outside [0, 1]")
+    if z0 not in (-1, 0, 1):
+        raise ParameterOutOfRange(f"z0 {z0} not in {{-1, 0, 1}}")
+    for name, z in (("z1", z1), ("z2", z2)):
+        if z is not None and z not in (0, 1):
+            raise ParameterOutOfRange(f"{name} {z} not in {{0, 1}}")
+    if z0 == 0:
+        return 0.1
+    slope = 0.08 if z0 == 1 else -0.01
+    if z2 is None:
+        return 0.1 + slope * ((1.0 + alpha) * (1.0 + alpha)) * 2**z1
+    return 0.1 + slope * (1.0 + alpha) * 2 ** (z1 + z2)
 
 
 class TestBuildPopulation:
