@@ -67,6 +67,7 @@ from .ingestion import (
     CROSS_DECILE_HEADER,
     INDIVIDUALS_HEADER,
     JOINT_HEADER,
+    _check_bin_count,
     bin_individuals,
     csv_chunks,
     format_csv,
@@ -204,20 +205,19 @@ def _parse_models(text: str) -> tuple[tuple[str, ...], ...]:
     return subsets
 
 
-def parse_bins(text: str) -> tuple[str, int]:
+def parse_bins(text: str) -> int | None:
+    """The quantile bin count of --bins, or None for one bin per distinct risk."""
     if text == "unique":
-        return ("unique-values", 0)
+        return None
     if text == "deciles":
-        return ("quantiles", 10)
+        return 10
     if text.startswith("quantiles:"):
         try:
             k = int(text.split(":", 1)[1])
         except ValueError:
             raise ParameterOutOfRange(f"cannot parse bin count in {text!r}") from None
-        return ("quantiles", k)
-    raise ParameterOutOfRange(
-        f"unknown binning {text!r}; use unique, deciles, or quantiles:K"
-    )
+        return _check_bin_count(k)
+    raise ParameterOutOfRange(f"unknown binning {text!r}; use unique, deciles, or quantiles:K")
 
 
 def _input_paths(names) -> list[Path]:
@@ -272,11 +272,11 @@ def cmd_synth(args: argparse.Namespace, writer: Writer) -> None:
 
 def cmd_eval(args: argparse.Namespace, writer: Writer) -> None:
     (path,) = _input_paths(args.paths)
-    scheme, k = parse_bins(args.bins)
+    k = parse_bins(args.bins)
     if read_header(path)[: len(INDIVIDUALS_HEADER)] == INDIVIDUALS_HEADER:
         # Only model 1 is scored: risk2 is validated on load but never binned.
         records = replace(load_individuals(path), risk2=None)
-        table, _ = bin_individuals(records, scheme=scheme, k=k)
+        table, _ = bin_individuals(records, k)
     else:
         table = load_grouped(path)
         if table.declared_calibrated:

@@ -376,19 +376,23 @@ def load_individuals(path) -> IndividualRecords:
     return IndividualRecords(risk1=risk1, risk2=risk2, outcome=outcome)
 
 
-def _bin_ids(
-    risks: np.ndarray, scheme: str, k: int
-) -> tuple[np.ndarray, KeyColumn, np.ndarray, np.ndarray | None]:
-    """Assign each record a bin id; returns ids, the bin keys (entry i keys
-    bin id i), each bin's record count, and the exact bin risks when the
-    scheme fixes them."""
-    if scheme == "unique-values":
-        values, ids, counts = np.unique(risks, return_inverse=True, return_counts=True)
-        return ids, _labels(values), counts, values
-    if scheme != "quantiles":
-        raise ParameterOutOfRange(f"unknown binning scheme {scheme!r}")
+def _check_bin_count(k: int) -> int:
+    """k, a quantile bin count, which must be at least 2."""
     if k < 2:
         raise ParameterOutOfRange(f"quantile bin count {k} must be at least 2")
+    return k
+
+
+def _bin_ids(
+    risks: np.ndarray, k: int | None
+) -> tuple[np.ndarray, KeyColumn, np.ndarray, np.ndarray | None]:
+    """Assign each record a bin id; returns ids, the bin keys (entry i keys
+    bin id i), each bin's record count, and the exact bin risks when k is
+    None (one bin per distinct risk)."""
+    if k is None:
+        values, ids, counts = np.unique(risks, return_inverse=True, return_counts=True)
+        return ids, _labels(values), counts, values
+    _check_bin_count(k)
     n = len(risks)
     if k <= n:  # more bins than records are refused before k - 1 cuts are made
         # A cut is the last risk of a bin in sorted order; a record's bin counts the cuts
@@ -413,13 +417,10 @@ def _bin_ids(
     return ids, labels, counts, None
 
 
-def _bin_model(risks: np.ndarray, outcomes: np.ndarray, scheme: str, k: int):
-    """One model's bins: record bin ids, bin keys, counts, risks and prevalences.
-
-    A bin's risk is its exact value when the scheme fixes it, else the mean
-    member risk.
-    """
-    ids, labels, counts, risk_of = _bin_ids(risks, scheme, k)
+def _bin_model(risks: np.ndarray, outcomes: np.ndarray, k: int | None):
+    """One model's record bin ids, bin keys, counts, risks and prevalences; a
+    bin's risk is its exact value when k is None, else the mean member risk."""
+    ids, labels, counts, risk_of = _bin_ids(risks, k)
     if risk_of is None:
         risk_of = np.bincount(ids, weights=risks, minlength=len(labels)) / counts
     prev = np.bincount(ids, weights=outcomes, minlength=len(labels)) / counts
@@ -427,18 +428,16 @@ def _bin_model(risks: np.ndarray, outcomes: np.ndarray, scheme: str, k: int):
 
 
 def bin_individuals(
-    records: IndividualRecords | list[IndividualRecord],
-    scheme: str = "unique-values",
-    k: int = 10,
+    records: IndividualRecords | list[IndividualRecord], k: int | None = None
 ) -> tuple[GroupedModelTable, JointModelTable | None]:
     """Group individual records into a model table.
 
-    scheme is "unique-values" (one group per distinct risk) or "quantiles"
-    (k mass-balanced bins, ties to the lower bin; bins emptied by tie pushing
-    are dropped). Groups carry the mean member risk (the distinct value itself
-    under unique-values), the count share as mass, and the outcome share as
-    prevalence. When records carry a second risk, the same scheme bins it and
-    the joint table of both models is returned too. A list of
+    k None gives one group per distinct risk; an integer k, at least 2, cuts
+    k mass-balanced quantile bins (ties to the lower bin; bins emptied by tie
+    pushing are dropped). Groups carry the mean member risk (the distinct
+    value itself when k is None), the count share as mass, and the outcome
+    share as prevalence. When records carry a second risk, it is binned the
+    same way and the joint table of both models is returned too. A list of
     IndividualRecord is converted to columns first.
     """
     if not isinstance(records, IndividualRecords):
@@ -447,11 +446,11 @@ def bin_individuals(
     if not n:
         raise EmptyInput("no records to bin")
     outcomes = records.outcome
-    ids1, labels1, counts1, risk1_of, prev1 = _bin_model(records.risk1, outcomes, scheme, k)
+    ids1, labels1, counts1, risk1_of, prev1 = _bin_model(records.risk1, outcomes, k)
     grouped = make_grouped_table(Columns((labels1,), (risk1_of,), counts1 / n, prev1))
     if records.risk2 is None:
         return grouped, None
-    ids2, labels2, _, risk2_of, _ = _bin_model(records.risk2, outcomes, scheme, k)
+    ids2, labels2, _, risk2_of, _ = _bin_model(records.risk2, outcomes, k)
     # Sparse pair ids: only occupied (group1, group2) pairs get a slot.
     pair_ids, pair_of = np.unique(ids1 * len(labels2) + ids2, return_inverse=True)
     pair_counts = np.bincount(pair_of)

@@ -21,6 +21,7 @@ risk value.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -188,7 +189,7 @@ def _build(entries, risk_names, empty_message):
     merge, and the groups are sorted by (risks, keys); masses must sum to 1
     within 1e-9. Errors are raised in entry order, each entry checked as
     _check_entry does and then against the first entry of its key. Returns
-    (KeyColumns, risk columns, mass, prevalence, population mean).
+    (KeyColumns, risk columns, mass, prevalence).
     """
     width = len(risk_names)
     if not isinstance(entries, Columns):
@@ -231,8 +232,7 @@ def _build(entries, risk_names, empty_message):
     order = np.lexsort([r[heads] for r in risks[::-1]])
     total, prevalence, heads = _sealed(total[order]), _sealed(prevalence[order]), heads[order]
     _check_total_mass(total)
-    mean = _exact_sum(total * prevalence)
-    return [k[heads] for k in keys], [_sealed(r[heads]) for r in risks], total, prevalence, mean
+    return [k[heads] for k in keys], [_sealed(r[heads]) for r in risks], total, prevalence
 
 
 class Group(NamedTuple):
@@ -250,23 +250,23 @@ class GroupedModelTable(_RowView):
 
     Columns key_column, risk, mass and prevalence hold one entry per group.
     Keys are identity and unique. Groups are never merged for sharing an
-    assigned risk: several groups may carry the same risk. population_mean
-    is the mass-weighted prevalence. declared_calibrated marks tables whose
-    prevalences were defaulted to the assigned risks at load time. key (str)
-    and groups (Group rows) are views of the columns, built on each access.
+    assigned risk: several groups may carry the same risk. declared_calibrated
+    marks tables whose prevalences were defaulted to the assigned risks at
+    load time. population_mean (the mass-weighted prevalence, summed once),
+    key (str) and groups (Group rows, built on each access) are column views.
     """
 
     key_column: KeyColumn
     risk: np.ndarray
     mass: np.ndarray
     prevalence: np.ndarray
-    population_mean: float
     declared_calibrated: bool = False
 
     _repr_fields = ("groups", "population_mean", "declared_calibrated")
     _compare_fields = ("groups", "population_mean")
     _row = Group
 
+    population_mean = cached_property(lambda self: _exact_sum(self.mass * self.prevalence))
     key = property(lambda self: self.key_column.array())
     groups = property(lambda self: tuple(_rows(self)))
 
@@ -282,10 +282,10 @@ def make_grouped_table(
     1e-12). Distinct keys are never merged, even at equal risk; groups are
     sorted by (risk, key).
     """
-    (key,), (risk,), mass, prev, mean = _build(
+    (key,), (risk,), mass, prev = _build(
         entries, ("risk",), "table needs at least one group with positive mass"
     )
-    return GroupedModelTable(key, risk, mass, prev, mean, declared_calibrated)
+    return GroupedModelTable(key, risk, mass, prev, declared_calibrated)
 
 
 def perfect_model_table(dist: RiskDistribution) -> GroupedModelTable:
@@ -317,8 +317,8 @@ class JointModelTable(_RowView):
     Columns key1_column, key2_column, risk1, risk2, mass and prevalence hold
     one entry per cell. Cells are keyed by (first-model group, second-model
     group) pairs and sorted by (risk1, risk2, key1, key2). Marginalizing
-    over either model reproduces the other model's grouped table. key1, key2
-    (str) and cells (JointCell rows) are views built on each access.
+    over either model reproduces the other model's grouped table.
+    population_mean, key1, key2 and cells are column views, as in GroupedModelTable.
     """
 
     key1_column: KeyColumn
@@ -327,10 +327,10 @@ class JointModelTable(_RowView):
     risk2: np.ndarray
     mass: np.ndarray
     prevalence: np.ndarray
-    population_mean: float
 
     _repr_fields = _compare_fields = ("cells", "population_mean")
     _row = JointCell
+    population_mean = cached_property(lambda self: _exact_sum(self.mass * self.prevalence))
     key1 = property(lambda self: self.key1_column.array())
     key2 = property(lambda self: self.key2_column.array())
     cells = property(lambda self: tuple(_rows(self)))
@@ -354,7 +354,7 @@ def make_joint_table(cells) -> JointModelTable:
     duplicate (key1, key2) cells are merged with mass-weighted prevalence
     and must agree on both assigned risks.
     """
-    (key1, key2), (risk1, risk2), mass, prev, mean = _build(
+    (key1, key2), (risk1, risk2), mass, prev = _build(
         cells, ("risk1", "risk2"), "joint table needs at least one cell with positive mass"
     )
-    return JointModelTable(key1, key2, risk1, risk2, mass, prev, mean)
+    return JointModelTable(key1, key2, risk1, risk2, mass, prev)

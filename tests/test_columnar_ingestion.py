@@ -91,7 +91,7 @@ class TestIndividualRecordsContract:
     def test_risk_outside_unit_interval_is_rejected(self):
         rows = [IndividualRecord(r, None, y) for r, y in [(-0.1, 0), (0.3, 1), (0.5, 1), (0.7, 0)]]
         with pytest.raises(RiskOutOfRange, match=r"^record 0: risk1 -0.1 outside \[0, 1\]$"):
-            bin_individuals(rows, scheme="quantiles", k=2)
+            bin_individuals(rows, k=2)
 
     @pytest.mark.parametrize(
         "last, error, message",
@@ -169,13 +169,13 @@ class TestIndividualRecordsContract:
 
 class TestBinningParity:
     @pytest.mark.parametrize(
-        "scheme,k", [("unique-values", 10), ("quantiles", 10), ("quantiles", 7)]
+        "k", [None, 10, 7], ids=["unique-values", "quantiles-10", "quantiles-7"]
     )
     @pytest.mark.parametrize("risk2", [True, False])
-    def test_list_and_columns_bin_identically(self, tmp_path, scheme, k, risk2):
+    def test_list_and_columns_bin_identically(self, tmp_path, k, risk2):
         records = load_individuals(_records_file(tmp_path / "r.csv", 2000, 5, risk2=risk2))
-        from_columns = bin_individuals(records, scheme=scheme, k=k)
-        from_list = bin_individuals(list(records), scheme=scheme, k=k)
+        from_columns = bin_individuals(records, k=k)
+        from_list = bin_individuals(list(records), k=k)
         assert from_columns == from_list
         assert (from_columns[1] is None) == (not risk2)
 
@@ -188,7 +188,7 @@ class TestRecordMemory:
         tracemalloc.start()
         try:
             records = load_individuals(path)
-            grouped, joint = bin_individuals(records, scheme="quantiles", k=10)
+            grouped, joint = bin_individuals(records, k=10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -203,11 +203,11 @@ class TestRecordMemory:
         )
         # A warm-up call: the first np.unique of a process imports modules.
         with pytest.raises(DegenerateBins):
-            bin_individuals(records, scheme="quantiles", k=4)
+            bin_individuals(records, k=4)
         tracemalloc.start()
         try:
             with pytest.raises(DegenerateBins, match="^2 distinct risks cannot fill 1000000 bins$"):
-                bin_individuals(records, scheme="quantiles", k=10**6)
+                bin_individuals(records, k=10**6)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -478,7 +478,7 @@ def _binned(bin_ids, risks, k):
 @given(case=_tied_risks())
 def test_quantile_bins_match_sort_and_walk(case):
     risks, k = case
-    got = _binned(lambda r, k: ingestion._bin_ids(r, "quantiles", k)[:2], risks, k)
+    got = _binned(lambda r, k: ingestion._bin_ids(r, k)[:2], risks, k)
     want = _binned(ref.bin_ids, risks, k)
     if isinstance(want, str):
         assert got == want
@@ -509,7 +509,7 @@ def _grid_risks(draw, k_low, k_high):
     n = draw(st.integers(max(2, k_low), 500))
     k = draw(st.integers(k_low, min(n, k_high)))
     steps = draw(st.integers(1, 12))
-    grid = st.integers(0, steps).map(lambda i: i / steps) | st.just(-0.0)
+    grid = st.sampled_from([i / steps for i in range(steps + 1)]) | st.just(-0.0)
     return np.array(draw(st.lists(grid, min_size=n, max_size=n)), dtype=float), k
 
 
@@ -523,7 +523,7 @@ CUTS = ingestion._COMPARED_CUTS
 def test_quantile_ids_match_partition_cuts(k_low, k_high, data):
     risks, k = data.draw(_grid_risks(k_low, k_high))
     want = _binned(_partition_cut_ids, risks, k)
-    got = _binned(lambda r, k: ingestion._bin_ids(r, "quantiles", k), risks, k)
+    got = _binned(lambda r, k: ingestion._bin_ids(r, k), risks, k)
     if isinstance(want, str):
         assert got == want
         return

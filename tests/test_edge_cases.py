@@ -15,12 +15,28 @@ from riskeval import (
 from riskeval.cli import main
 
 
+RECORDS = "risk1,risk2,outcome\n0.1,,0\n0.3,,1\n"
+GROUPED = "risk,mass,prevalence\n0.1,0.5,0.1\n0.3,0.5,0.3\n"
+
+
 def test_unparsable_quantile_count_exits_2(tmp_path, capsys):
-    src = tmp_path / "records.csv"
-    src.write_text("risk1,risk2,outcome\n0.1,,0\n0.3,,1\n")
-    assert main(["eval", str(src), "--bins", "quantiles:x", "--out", str(tmp_path / "out")]) == 2
-    assert capsys.readouterr() == ("", "error: cannot parse bin count in 'quantiles:x'\n")
-    assert not (tmp_path / "out").exists()
+    # The bin count is checked before the file is read, whatever the file holds:
+    # a grouped file, or records whose line 3 has a bad outcome.
+    cases = [
+        (RECORDS, "x", "cannot parse bin count in 'quantiles:x'"),
+        (RECORDS, "1", "quantile bin count 1 must be at least 2"),
+        (RECORDS, "0", "quantile bin count 0 must be at least 2"),
+        (RECORDS, "-3", "quantile bin count -3 must be at least 2"),
+        (GROUPED, "1", "quantile bin count 1 must be at least 2"),
+        (RECORDS.replace(",,1", ",,x"), "1", "quantile bin count 1 must be at least 2"),
+    ]
+    for body, k, message in cases:
+        src = tmp_path / "input.csv"
+        src.write_text(body)
+        argv = ["eval", str(src), "--bins", f"quantiles:{k}", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
 
 def test_rows_of_the_wrong_width_are_rejected():

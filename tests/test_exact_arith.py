@@ -35,7 +35,7 @@ def _squares(values) -> list[float]:
     built directly, unchecked, so that x may lie outside [0, 1]."""
     key, one, zero = coded(["g"]), np.ones(1), np.zeros(1)
     return [
-        calibration_bias_sq(GroupedModelTable(key, np.array([x]), one, zero, 0.0))
+        calibration_bias_sq(GroupedModelTable(key, np.array([x]), one, zero))
         for x in values
     ]
 

@@ -312,7 +312,7 @@ class TestBinIndividuals:
         records = [
             IndividualRecord(float(r), None, int(y)) for r, y in zip(risks, outcomes)
         ]
-        grouped, _ = bin_individuals(records, scheme="quantiles", k=10)
+        grouped, _ = bin_individuals(records, k=10)
         assert len(grouped.groups) == 10
         order = np.argsort(risks, kind="stable")
         for i, g in enumerate(grouped.groups):
@@ -326,7 +326,7 @@ class TestBinIndividuals:
         records = [IndividualRecord(0.1, None, 0)] * 7 + [
             IndividualRecord(0.2, None, 1)
         ] * 3
-        grouped, _ = bin_individuals(records, scheme="quantiles", k=2)
+        grouped, _ = bin_individuals(records, k=2)
         assert grouped.mass.tolist() == [0.7, 0.3]
         assert grouped.key.tolist() == ["q1", "q2"]
 
@@ -335,7 +335,7 @@ class TestBinIndividuals:
         records = [IndividualRecord(0.1, None, 0)] * 9 + [
             IndividualRecord(r, None, 1) for r in (0.2, 0.3, 0.4)
         ]
-        grouped, _ = bin_individuals(records, scheme="quantiles", k=3)
+        grouped, _ = bin_individuals(records, k=3)
         assert grouped.key.tolist() == ["q1", "q3"]
         assert grouped.mass.tolist() == [0.75, 0.25]
         assert abs(grouped.risk[0] - 0.1) <= TOL
@@ -379,11 +379,9 @@ class TestBinIndividuals:
             bin_individuals([])
         records = [IndividualRecord(i / 10, None, 0) for i in range(1, 10)]
         with pytest.raises(DegenerateBins):
-            bin_individuals(records, scheme="quantiles", k=10)
+            bin_individuals(records, k=10)
         with pytest.raises(ParameterOutOfRange):
-            bin_individuals(records, scheme="quantiles", k=1)
-        with pytest.raises(ParameterOutOfRange):
-            bin_individuals(records, scheme="equal-width", k=5)
+            bin_individuals(records, k=1)
 
 
 class TestCrossDecile:
@@ -514,7 +512,7 @@ class TestSparsePairBinning:
         ]
         tracemalloc.start()
         try:
-            grouped, joint = bin_individuals(records, scheme="unique-values")
+            grouped, joint = bin_individuals(records)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

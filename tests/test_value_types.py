@@ -8,6 +8,7 @@ own builders hand over read-only arrays, so they are never copied.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ def test_synth_table_hashes_as_its_rows_and_mean(model1_b):
     assert hash(model1_b) == hash((model1_b.groups, model1_b.population_mean))
 
 
+def test_a_table_computes_its_mean_from_its_columns():
+    table = rv.make_grouped_table([("a", 0.1, 0.5, 0.1), ("b", 0.3, 0.5, 0.3)])
+    assert table.population_mean == 0.2
+    for cls in (tables.GroupedModelTable, tables.JointModelTable):
+        assert "population_mean" not in {f.name for f in dataclasses.fields(cls)}
+    p = _f(0.2, 0.4)
+    moved = dataclasses.replace(table, prevalence=p)
+    assert moved.population_mean.hex() == math.fsum((table.mass * p).tolist()).hex()
+    assert rv.evaluate(moved).population_mean == moved.population_mean
+
+
 def _f(*values) -> np.ndarray:
     return np.array(values, dtype=float)
 
@@ -110,10 +122,10 @@ def _holders():
     args = [
         (distributions.RiskDistribution, (_f(0.1, 0.3), _f(0.5, 0.5))),
         (KeyColumn, (np.array([0, 1]), np.array(["a", "b"], dtype=object))),
-        (tables.GroupedModelTable, (_keys(), _f(0.1, 0.3), _f(0.5, 0.5), _f(0.1, 0.3), 0.2)),
+        (tables.GroupedModelTable, (_keys(), _f(0.1, 0.3), _f(0.5, 0.5), _f(0.1, 0.3))),
         (
             tables.JointModelTable,
-            (_keys(), _keys(), _f(0.1, 0.3), _f(0.2, 0.4), _f(0.5, 0.5), _f(0.1, 0.3), 0.2),
+            (_keys(), _keys(), _f(0.1, 0.3), _f(0.2, 0.4), _f(0.5, 0.5), _f(0.1, 0.3)),
         ),
         (comparison.CellBiasTable, (_keys(), _keys(), *(_f(0.5, 0.5) for _ in range(6)))),
         (comparison.SubgroupGainTable, (_keys(), *(_f(0.1, 0.3) for _ in range(6)))),
@@ -186,7 +198,7 @@ def test_builders_and_loaders_hand_over_arrays_without_copies(tmp_path, no_copie
                     zip(r1, r2, [f'"{y}"' for y in outcome]))
     for path in (plain, quoted):
         records = rv.load_individuals(path)
-        rv.bin_individuals(records, scheme="quantiles", k=10)
+        rv.bin_individuals(records, k=10)
         rv.bin_individuals(dataclasses.replace(records, risk2=None))
     rv.bin_individuals(list(records))
     synth = rv.cross_classify(rv.build_population(0.8), SUBSET_1, SUBSET_2)
