@@ -11,7 +11,8 @@ Subcommands:
 to one Writer, and `main` writes them and prints a `wrote` line per file.
 
 Every run is deterministic: no timestamps, fixed 12-significant-digit float
-formatting, sorted JSON keys. Exit codes: 0 success, 2 input or validation
+formatting, sorted JSON keys. Files are written as UTF-8 bytes with LF line
+ends on every platform. Exit codes: 0 success, 2 input or validation
 error, 3 internal invariant violation.
 
 JSON report schema (schema_version 1): a top-level object with
@@ -37,9 +38,9 @@ import gc
 import json
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from decimal import ROUND_HALF_EVEN, Decimal
-from functools import partial
 from pathlib import Path
 
 # The command line does no linear algebra, so OpenBLAS's worker threads, one
@@ -87,7 +88,7 @@ from .synthetic import (
     project_model,
     risk_distribution,
 )
-from .tables import format_label, perfect_model_table
+from .tables import KeyColumn, format_label, perfect_model_table
 
 # The imported modules live until exit; the collector need not walk them again.
 gc.freeze()
@@ -115,14 +116,14 @@ class Writer:
         self.out_dir = out_dir
         self.out_format = out_format
         self.percent = percent
-        self.pending: list[tuple[Path, str | partial]] = []
+        self.pending: list[tuple[Path, Iterable[bytes]]] = []  # each file's byte chunks
 
     def add_text(self, name: str, text: str) -> None:
-        self.pending.append((self.out_dir / name, text))
+        self.pending.append((self.out_dir / name, [text.encode()]))
 
     def add_csv(self, name: str, header, columns) -> None:
         """A CSV file of columns, formatted block by block as the file is written."""
-        self.pending.append((self.out_dir / name, partial(csv_chunks, header, columns=columns)))
+        self.pending.append((self.out_dir / name, csv_chunks(header, columns=columns)))
 
     def add_report(self, name: str, kind: str, pairs, header=(), columns=()) -> None:
         """One report in the configured format.
@@ -155,9 +156,9 @@ class Writer:
     def flush(self) -> list[Path]:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         written = []
-        for path, text in sorted(self.pending, key=lambda item: str(item[0])):
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.writelines([text] if isinstance(text, str) else text())
+        for path, chunks in sorted(self.pending, key=lambda item: str(item[0])):
+            with open(path, "wb") as fh:
+                fh.writelines(chunks)
             written.append(path)
         return written
 
@@ -322,8 +323,20 @@ def cmd_compare(args: argparse.Namespace, writer: Writer) -> None:
     cell_bias = cross_classified_bias(joint, table1, table2)
     writer.add_report("comparison", "comparison", _report_pairs(comp))
     _add_gain_report(writer, "subgroup_gain", gain)
+    keys1, keys2, mass, prevalence, risk1, risk2, bias1, bias2 = cell_bias.columns()
+    risks = _as_keys(risk1, keys1), _as_keys(risk2, keys2)
     header = ("group1", "group2", "mass", "prevalence", "risk1", "risk2", "bias1", "bias2")
-    writer.add_csv("cell_bias.csv", header, cell_bias.columns())
+    writer.add_csv("cell_bias.csv", header, (keys1, keys2, mass, prevalence, *risks, bias1, bias2))
+
+
+def _as_keys(risk: np.ndarray, keys: KeyColumn):
+    """keys when each risk is its key's value bit for bit, and so prints as
+    its key's label; else risk. Loaded tables' cell risks are their keys'."""
+    if keys.values is not None and np.array_equal(
+        keys.values[keys.codes].view(np.int64), risk.view(np.int64)
+    ):
+        return keys
+    return risk
 
 
 def cmd_convert(args: argparse.Namespace, writer: None) -> None:

@@ -78,11 +78,26 @@ def _exact_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _exact_sum(values) -> float:
-    """math.fsum(values), bit for bit; values is a float64 array or any iterable."""
+    """math.fsum(values), bit for bit; values is a float64 array or any iterable.
+
+    The passes of _exact_sums over one segment, with a scalar sigma per pass.
+    """
     x = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
     if len(x) < _EXACT_CUTOFF:
         return math.fsum(x.tolist())
-    return float(_exact_sums(x, np.array([len(x)]))[0])
+    k = math.frexp(len(x) + 1.0)[1]
+    parts, r = [], x
+    for _ in range(_EXACT_PASSES):
+        top = float(np.max(np.abs(r), initial=0.0))  # NaN where a NaN is
+        if top == 0.0:
+            return math.fsum(parts)
+        if not _EXACT_TINY < top < _EXACT_HUGE:
+            break
+        sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
+        q = (sigma + r) - sigma
+        parts.append(float(np.sum(q)))
+        r = r - q
+    return math.fsum(x.tolist())
 
 
 def _check_unit_interval(name: str, x: float) -> float:

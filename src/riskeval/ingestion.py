@@ -208,17 +208,25 @@ def _labels(values: np.ndarray) -> KeyColumn:
 
     Each distinct bit pattern is formatted once, so -0.0 and 0.0 keep their
     own labels "-0" and "0"; bit patterns that print one label (x and its
-    neighbour at 12 digits, NaNs of either sign) share its code.
+    neighbour at 12 digits, NaNs of either sign) share its code, and the
+    column's values keep the least of them. The bit patterns are formatted
+    in sorted order: labels that come out in str order (non-negative values
+    in fixed notation do) are coded by their runs, others by a string sort.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     floats = bits.view(np.float64)
     labels = np.empty(len(bits), "S33")
     for start in range(0, len(bits), _BLOCK_ROWS):  # blocks keep the field rows bounded
         block = _lines([floats[start : start + _BLOCK_ROWS]])
-        labels[start : start + _BLOCK_ROWS] = block.encode().split(b"\n")[:-1]
-    labels = labels.astype(f"S{np.char.str_len(labels).max(initial=1)}")  # narrow before sorting
-    vocab, codes = np.unique(labels, return_inverse=True)
-    return KeyColumn(_sealed(codes[inverse]), _sealed(vocab))
+        labels[start : start + _BLOCK_ROWS] = block.split(b"\n")[:-1]
+    labels = labels.astype(f"S{np.char.str_len(labels).max(initial=1)}")  # narrow before comparing
+    if (labels[1:] >= labels[:-1]).all():
+        new = np.ones(len(labels), dtype=bool)
+        new[1:] = labels[1:] != labels[:-1]
+        first, codes = np.flatnonzero(new), np.cumsum(new) - 1
+    else:
+        _, first, codes = np.unique(labels, return_index=True, return_inverse=True)
+    return KeyColumn(_sealed(codes[inverse]), _sealed(labels[first]), _sealed(floats[first]))
 
 
 def load_grouped(path) -> GroupedModelTable:
@@ -575,11 +583,14 @@ def _csv_text(v) -> str:
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ASCII digits of 0..9999 packed in uint32s, 10**0..10**22, and the field of
-    each exponent -11..34 and digit count kept: sign, the `0.000` below 1, digit
-    j at 6 + 2j (0, to be OR-ed) and an optional point after it, then `e+XX`."""
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """ASCII digits of 0..9999 packed in uint32s and their trailing zero digits,
+    10**0..10**22, and the field of each exponent -11..34 and digit count kept:
+    sign, the `0.000` below 1, digit j at 6 + 2j (0, to be OR-ed) and an
+    optional point after it, then `e+XX`."""
     quads = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T + ord("0")
+    zeros = np.argmax(quads[:, ::-1] != ord("0"), axis=1).astype(np.uint8)
+    zeros[0] = 4
     rows = np.full((46, 33), _PAD, dtype=np.uint8)
     rows[:, 6:29:2] = 0
     for e, row in enumerate(rows, -11):
@@ -594,7 +605,8 @@ def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     strip = (slot >= 5 + 2 * np.arange(13)[:, None]) & (slot < 29)
     templates = np.where(strip, _PAD, rows[:, None])
     powers = np.array([10**k for k in range(23)], dtype=np.float64)
-    return np.ascontiguousarray(quads).view(np.uint32).ravel(), powers, templates.reshape(-1, 33)
+    quads = np.ascontiguousarray(quads).view(np.uint32).ravel()
+    return quads, zeros, powers, templates.reshape(-1, 33)
 
 
 def _float_fields(values) -> np.ndarray:
@@ -607,7 +619,7 @@ def _float_fields(values) -> np.ndarray:
     -0; other values (subnormals, inf, nan, |v| outside [1e-11, 1e34), ties)
     go to format.
     """
-    quads, powers, templates = _digit_tables()
+    quads, zeros, powers, templates = _digit_tables()
     x = np.asarray(values, dtype=np.float64)
     a = np.where(np.isfinite(x), np.abs(x), 0.0)
     e = np.clip(np.floor(np.log10(a, out=np.zeros_like(a), where=a > 0.0)), -11, 33).astype(np.intp)
@@ -616,14 +628,18 @@ def _float_fields(values) -> np.ndarray:
     d = np.rint(y)
     exact = (y >= 1e11) & (y < 1e12) & (np.abs(y - d) != 0.5)
     e += d == 1e12
-    d = np.where(exact & (d < 1e12), d, 1e11).astype(np.int64)  # a zero: e = 0, one digit
-    digits = np.take(quads, np.stack([d // 10**8, d // 10**4 % 10**4, d % 10**4], axis=1))
-    digits = digits.view(np.uint8)
-    nd = 12 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)  # significant digits
+    d = np.where(exact & (d < 1e12), d, 1e11)  # a zero: e = 0, one digit
+    q = np.empty((len(d), 3), dtype=np.intp)  # the 12 digits in three quads; each step is exact
+    high = np.floor(d / 1e4)
+    q[:, 0] = np.floor(high / 1e4)
+    q[:, 1] = high - q[:, 0] * 1e4
+    q[:, 2] = d - high * 1e4
+    tz = np.take(zeros, q)
+    nd = 12 - tz[:, 2] - (q[:, 2] == 0) * (tz[:, 1] + (q[:, 1] == 0) * tz[:, 0])  # significant
     keep = np.where((e >= 0) & (e < 12), np.maximum(nd, e + 1), nd)  # fixed keeps integer digits
     fields = np.take(templates, (e + 11) * 13 + keep, axis=0)
     fields[:, 0] = np.where(np.signbit(x), ord("-"), _PAD)
-    fields[:, 6:29:2] |= digits
+    fields[:, 6:29:2] |= np.take(quads, q).view(np.uint8)
     zero = x == 0.0
     fields[zero, 6] = ord("0")
     rest = ~(exact | zero)
@@ -648,24 +664,28 @@ def _text_fields(column) -> np.ndarray:
     return fields
 
 
-def _lines(columns) -> str:
-    """CSV lines of columns (float arrays, key columns, text sequences), one per entry."""
+def _lines(columns) -> bytes:
+    """UTF-8 CSV lines of columns (float arrays, key columns, text sequences), one
+    per entry; a text column given twice is encoded once."""
     kinds = [isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns]
     floats = [c for c, f in zip(columns, kinds) if f]  # formatted in one call
     packed = iter(np.split(_float_fields(np.concatenate(floats)), len(floats)) if floats else ())
-    fields = [next(packed) if f else _text_fields(c) for c, f in zip(columns, kinds)]
+    texts = {id(c): c for c, f in zip(columns, kinds) if not f}
+    texts = {i: _text_fields(c) for i, c in texts.items()}
+    fields = [next(packed) if f else texts[id(c)] for c, f in zip(columns, kinds)]
     comma = np.full((len(fields[0]), 1), ord(","), dtype=np.uint8)
     block = np.concatenate([m for f in fields for m in (f, comma)], axis=1)
     block[:, -1] = ord("\n")
-    return block.tobytes().translate(None, bytes([_PAD])).decode("utf-8")
+    return block.tobytes().translate(None, bytes([_PAD]))
 
 
 def csv_chunks(header, *, columns):
-    """The text of format_csv in pieces: the header line, then blocks of lines."""
-    yield ",".join(header) + "\n"
+    """The UTF-8 bytes of format_csv in pieces: the header line, then blocks of lines."""
+    yield (",".join(header) + "\n").encode()
     n = min(map(len, columns), default=0)
     for start in range(0, n, _BLOCK_ROWS):
-        yield _lines([column[start : min(n, start + _BLOCK_ROWS)] for column in columns])
+        block = {id(c): c[start : min(n, start + _BLOCK_ROWS)] for c in columns}
+        yield _lines([block[id(c)] for c in columns])
 
 
 def format_csv(header, *, columns) -> str:
@@ -676,7 +696,7 @@ def format_csv(header, *, columns) -> str:
     ".12g") does, by one exact vectorized formatter with a per-value
     fallback; text holding a comma, a double quote or a line break is quoted.
     """
-    return "".join(csv_chunks(header, columns=columns))
+    return b"".join(csv_chunks(header, columns=columns)).decode()
 
 
 def grouped_csv(table: GroupedModelTable) -> str:

@@ -98,11 +98,15 @@ class KeyColumn:
     vocab holds distinct labels in str order, so codes compare as their keys
     do: an object array of str or, for float labels (ASCII that CSV need not
     quote), NUL-padded bytes, which sort alike. It may hold unused labels;
-    indexing takes entries and shares the vocabulary.
+    indexing takes entries and shares the vocabulary. Float labels may carry
+    values: values[c] is a float whose format_label is vocab[c], so a float
+    column equal to values[codes] bit for bit prints as the keys. Keys coded
+    from text have none.
     """
 
     codes: np.ndarray
     vocab: np.ndarray
+    values: np.ndarray | None = None
 
     __post_init__ = _own_arrays
 
@@ -110,7 +114,7 @@ class KeyColumn:
         return len(self.codes)
 
     def __getitem__(self, rows) -> "KeyColumn":
-        return KeyColumn(_sealed(self.codes[rows]), self.vocab)
+        return KeyColumn(_sealed(self.codes[rows]), self.vocab, self.values)
 
     def __iter__(self):
         return iter(self.tolist())
@@ -209,9 +213,12 @@ def _build(entries, risk_names, empty_message):
     code = np.zeros(len(rows), dtype=np.int64)
     for k in keys:
         code = code * len(k.vocab) + k.codes[rows]
-    _, first, codes = np.unique(code, return_index=True, return_inverse=True)
+    groups, codes = np.unique(code, return_inverse=True)
+    distinct = len(groups) == len(rows)
+    first = np.full(len(groups), len(rows))  # each group's first entry
+    np.minimum.at(first, codes, np.arange(len(rows)))
     conflict = np.zeros(len(rows), dtype=bool)
-    for r in risks:
+    for r in () if distinct else risks:  # distinct keys cannot conflict
         kept = r[rows]
         conflict |= np.abs(kept - kept[first][codes]) > RISK_MERGE_TOL
     at = _first(conflict)
@@ -226,8 +233,12 @@ def _build(entries, risk_names, empty_message):
     _raise_first(bad, "entry", lambda i: _check_entry(entries, i, risk_names))
     if not len(rows):
         raise EmptyInput(empty_message)
-    total, prevalence = _merge(codes, mass[rows], prev[rows])
     heads = rows[first]  # a merged group keeps the risks of its first entry
+    if distinct:  # a lone entry's mean is (m p) / m, as _merge gives it, -0.0 included
+        total = mass[heads]
+        prevalence = total * prev[heads] / total
+    else:
+        total, prevalence = _merge(codes, mass[rows], prev[rows])
     # heads come in code order, which is key order; the stable lexsort keeps it at equal risks.
     order = np.lexsort([r[heads] for r in risks[::-1]])
     total, prevalence, heads = _sealed(total[order]), _sealed(prevalence[order]), heads[order]

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_csv
 import riskeval
 from riskeval import ParameterOutOfRange, evaluate, ten_year_risk, write_grouped, write_joint
-from riskeval.cli import main, percent_round
+from riskeval.cli import _as_keys, main, percent_round
 
 TOL = 1e-12
 RHO_PERFECT_A = 0.18101933598375622
@@ -276,12 +277,56 @@ class TestCompare:
         assert main(["compare", str(bad), str(g2), str(jt)]) == 2
         assert "does not match" in capsys.readouterr().err
 
-    def test_cross_decile_needs_rates(self, capsys):
+    @pytest.mark.parametrize(
+        "case, from_keys",
+        [("plain", (True, True)), ("neighbours", (True, False)), ("three_files", (True, False))],
+    )
+    def test_cell_bias_matches_the_row_join(self, tmp_path, capsys, case, from_keys):
+        """A cell risk that is its key's value prints as the key's label; any
+        other is formatted. Either way the file is the row-join writer's text.
+
+        r1 has two decimals; r2 is distinct per cell and carries 17 digits,
+        so a grouped file's 12-digit risks are not the joint table's. The
+        neighbours put r2's 12-digit neighbour y in a cell of lower r1: its
+        marginal group keeps y, and its key's value is the lesser bits.
+        """
+        rng = np.random.default_rng(5)
+        n = 300
+        r1, r2 = np.round(rng.random(n), 2), (np.arange(n) + rng.random(n)) / n
+        if case == "neighbours":
+            r1[1], r2[1] = r1[0] / 2, np.nextafter(r2[0], 1.0)
+        mass = rng.random(n)
+        joint_path = tmp_path / "joint.csv"
+        columns = (r1, r2, mass / mass.sum(), np.round(rng.random(n), 3))
+        joint_path.write_text("r1,r2,mass,prevalence\n" + "".join(
+            map("{!r},{!r},{!r},{!r}\n".format, *(x.tolist() for x in columns))
+        ))
+        joint = riskeval.load_joint(joint_path)
+        tables = joint.marginal(1), joint.marginal(2)
+        paths = [joint_path]
+        if case == "three_files":
+            paths = [tmp_path / "m1.csv", tmp_path / "m2.csv", joint_path]
+            for table, path in zip(tables, paths):
+                write_grouped(table, path)
+            tables = tuple(map(riskeval.load_grouped, paths[:2]))
+        bias = riskeval.cross_classified_bias(joint, *tables)
+        risks = (bias.risk1, bias.key1_column), (bias.risk2, bias.key2_column)
+        assert tuple(_as_keys(risk, keys) is keys for risk, keys in risks) == from_keys
+        out = tmp_path / "out"
+        assert main(["compare", *map(str, paths), "--out", str(out)]) == 0
+        header = ("group1", "group2", "mass", "prevalence", "risk1", "risk2", "bias1", "bias2")
+        want = reference_csv.format_csv(header, columns=bias.columns())
+        assert (out / "cell_bias.csv").read_bytes() == want.encode()
+
+    def test_cross_decile_needs_rates(self, tmp_path, capsys):
         path = str(riskeval.example_cross_decile_path())
-        assert main(["compare", path]) == 2
+        out = tmp_path / "out"
+        assert main(["compare", path, "--out", str(out)]) == 2
         assert "--mortality" in capsys.readouterr().err
-        out_code = main(["compare", path, "--mortality", "0.0053", "--horizon", "10"])
-        assert out_code == 0
+        argv = ["compare", path, "--mortality", "0.0053", "--horizon", "10", "--out", str(out)]
+        assert main(argv) == 0
+        names = ["cell_bias.csv", "comparison.csv", "subgroup_gain.csv"]
+        assert sorted(p.name for p in out.iterdir()) == names
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
     @pytest.mark.parametrize("name", ["mortality", "horizon"])

@@ -135,6 +135,26 @@ def test_joint_tables_match_row_builder(cells, data):
     _same(cross_classified_bias, ref.cross_classified_bias, (new, *tables), (old, *risks))
 
 
+@st.composite
+def _distinct_entries(draw, key_sets):
+    """Rows whose keys are all distinct, with masses summing to 1: the
+    builders skip the merge, and a -0.0 prevalence must keep its sign."""
+    keys = draw(st.lists(st.tuples(*map(st.sampled_from, key_sets)), min_size=1, unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in keys]
+    return [
+        (*k, *(draw(st.sampled_from(RISKS)) for _ in k), w / sum(weights),
+         draw(st.sampled_from(PREVALENCES)))
+        for k, w in zip(keys, weights)
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distinct_entries([KEYS1]), _distinct_entries([KEYS1, KEYS2]))
+def test_distinct_keys_match_row_builder(entries, cells):
+    _same(make_grouped_table, ref.make_grouped_table, (entries,), (entries,))
+    _same(make_joint_table, ref.make_joint_table, (cells,), (cells,))
+
+
 class TestViews:
     def test_views_are_read_only_and_typed(self):
         table = make_grouped_table([("b", 0.2, 0.5, 0.1), ("a", 0.2, 0.5, 0.3)])

@@ -10,6 +10,7 @@ range. `reference_csv` keeps the row-join writer that the formatter replaced.
 
 import csv
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,40 @@ def test_labels_are_format_12g_per_bit_pattern():
     assert labels.codes.tolist() == [3, 0, 1, 3, 2, 2, 0]
 
 
+# Values whose labels sort as their bits do (non-negative, fixed notation),
+# values that do not (negatives, scientific notation, -0.0), and runs of
+# 12-digit neighbours that print one label.
+def _neighbours(base):
+    return st.builds(lambda x, steps: [_stepped(x, k) for k in steps], base,
+                     st.lists(st.integers(-2, 2), min_size=1, max_size=4))
+
+
+fixed = st.floats(1e-4, 1.0) | st.sampled_from([0.0, -0.0, 0.5, 1.0])
+ordered_values = st.lists(fixed.map(lambda x: [x]) | _neighbours(fixed), max_size=20)
+unordered_values = st.lists(
+    st.sampled_from([-0.5, 1e-5, 1e12, 5e-324, math.nan]).map(lambda x: [x])
+    | st.floats().map(lambda x: [x])
+    | _neighbours(st.floats(-1.0, -1e-4)),
+    max_size=3,
+)
+
+
+@given(ordered_values, unordered_values)
+def test_labels_code_as_the_sorted_label_set(ordered, unordered):
+    """Either path, run-coding ordered labels or sorting them, gives the
+    codes and vocabulary of np.unique over the labels, and each value formats
+    to its label. 1e-5 before 0.5 in bit order, and after it in str order,
+    sends the second call down the sorting path."""
+    for runs in (ordered, ordered + unordered + [[1e-5, 0.5]]):
+        values = np.array([x for run in runs for x in run], dtype=np.float64)
+        keys = _labels(values)
+        vocab, codes = np.unique(np.array(_expected(values), dtype=object), return_inverse=True)
+        assert keys.labels.tolist() == vocab.tolist()
+        assert keys.codes.tolist() == codes.tolist()
+        assert _expected(keys.values) == vocab.tolist()
+        assert not keys.values.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # the writer against the row-join reference
 
@@ -121,7 +156,8 @@ def _columns(rng, n: int):
     counts = rng.integers(0, 10**6, n)
     # Mostly +-0, as the variances of one-cell subgroups are.
     zeros = np.where(rng.random(n) < 0.9, 0.0, floats) * np.where(rng.random(n) < 0.3, -1.0, 1.0)
-    return [keys, floats, quoted, rng.random(n), counts, floats.tolist(), zeros]
+    runs = np.repeat([0.0, -0.0], [n // 2, n - n // 2])  # a run of 0.0, then one of -0.0
+    return [keys, floats, quoted, rng.random(n), counts, floats.tolist(), zeros, runs]
 
 
 @given(
@@ -132,8 +168,8 @@ def test_writer_matches_the_row_join(entries):
     floats = np.array([x for _, x in entries], dtype=np.float64)
     with np.errstate(over="ignore"):
         single = floats.astype(np.float32)
-    columns = [texts, floats, single, np.arange(len(entries))]
-    header = ("text", "value", "single", "index")
+    columns = [texts, floats, single, np.arange(len(entries)), texts]  # one column twice
+    header = ("text", "value", "single", "index", "text")
     want = reference_csv.format_csv(header, columns=columns)
     assert format_csv(header, columns=columns) == want
 
@@ -144,7 +180,7 @@ def test_writer_matches_the_row_join(entries):
 )
 def test_writer_matches_the_row_join_across_blocks(n):
     columns = _columns(np.random.default_rng(n), n)
-    header = ("key", "float", "text", "uniform", "count", "float_list", "zeros")
+    header = ("key", "float", "text", "uniform", "count", "float_list", "zeros", "zero_runs")
     assert format_csv(header, columns=columns) == reference_csv.format_csv(header, columns=columns)
 
 
