@@ -4,8 +4,8 @@ A risk distribution assigns probability mass to a finite set of risk values in
 [0, 1]. Its mean is the population outcome rate; its variance measures risk
 heterogeneity and is bounded above by mean*(1 - mean).
 
-The package's exact sums live here too: `_exact_sum` and `_exact_sums` give
-math.fsum's bits for a whole array or for each of its contiguous segments.
+The package's exact sums live here too, in one loop: `_exact_sums` gives
+math.fsum's bits for each contiguous segment of an array, `_exact_sum` for one.
 So do the one merge kernel, `_merge`, for table keys and tied risks alike,
 `_rows`, the one builder of every holder's rows from its columns, and the row
 views: `_RowView` for distributions and tables, `_RowSequence` for the rest.
@@ -45,7 +45,8 @@ def _exact_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     two parts are nonzero one addition rounds their sum as fsum does.
     Segments holding a non-finite value, a magnitude beyond the _EXACT_HUGE
     and _EXACT_TINY bounds, or a remainder left after _EXACT_PASSES passes,
-    and every segment of a short x, are summed by math.fsum itself.
+    and every segment of a short x, are summed by math.fsum itself. A lone
+    segment (_exact_sum's) takes a scalar sigma instead of a repeated one.
     """
     starts = np.cumsum(sizes) - sizes
     slow = np.full(len(sizes), len(x) < _EXACT_CUTOFF)
@@ -62,7 +63,8 @@ def _exact_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         top[slow] = 0.0
         if not top.any():
             break
-        sigma = np.repeat(np.ldexp(1.0, np.frexp(top)[1] + k), sizes)
+        sigma = np.ldexp(1.0, np.frexp(top)[1] + k)
+        sigma = sigma[0] if len(sizes) == 1 else np.repeat(sigma, sizes)
         q = (sigma + r) - sigma
         parts.append(np.add.reduceat(q, starts))
         r = r - q
@@ -78,26 +80,12 @@ def _exact_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _exact_sum(values) -> float:
-    """math.fsum(values), bit for bit; values is a float64 array or any iterable.
-
-    The passes of _exact_sums over one segment, with a scalar sigma per pass.
-    """
+    """math.fsum(values), bit for bit; values is a float64 array or any iterable,
+    summed as one segment by _exact_sums, or by math.fsum if short or empty."""
     x = values if isinstance(values, np.ndarray) else np.fromiter(values, dtype=float)
-    if len(x) < _EXACT_CUTOFF:
+    if len(x) < max(_EXACT_CUTOFF, 1):
         return math.fsum(x.tolist())
-    k = math.frexp(len(x) + 1.0)[1]
-    parts, r = [], x
-    for _ in range(_EXACT_PASSES):
-        top = float(np.max(np.abs(r), initial=0.0))  # NaN where a NaN is
-        if top == 0.0:
-            return math.fsum(parts)
-        if not _EXACT_TINY < top < _EXACT_HUGE:
-            break
-        sigma = math.ldexp(1.0, math.frexp(top)[1] + k)
-        q = (sigma + r) - sigma
-        parts.append(float(np.sum(q)))
-        r = r - q
-    return math.fsum(x.tolist())
+    return float(_exact_sums(x, np.array([len(x)]))[0])
 
 
 def _check_unit_interval(name: str, x: float) -> float:

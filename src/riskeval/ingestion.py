@@ -149,15 +149,19 @@ def _read_columns(path, expected_header: list[str], optional: set[str] = frozens
     return path, linenos, {name: fields[j::width] for j, name in enumerate(header)}
 
 
-def _loadable(data: bytes) -> bool:
-    """No NUL, which would end a numpy text field, and no LF-ended line
-    longer than the field size limit that csv.reader enforces."""
-    limit, start = csv.field_size_limit(), 0
-    while len(data) - start > limit:
-        start = data.rfind(b"\n", start, start + limit + 1) + 1
-        if not start:
-            return False
-    return b"\0" not in data
+def _loadable(path) -> bool:
+    """No NUL, which would end a numpy text field, and no LF-ended line longer
+    than the field size limit that csv.reader enforces, read in _SCAN_BYTES
+    chunks; start is the open line's first byte, as an offset into the chunk."""
+    limit, start, buf = csv.field_size_limit(), 0, bytearray(_SCAN_BYTES)
+    with open(path, "rb", buffering=0) as fh:
+        while (n := fh.readinto(buf)) and buf.find(b"\0", 0, n) < 0:
+            while n - start > limit:
+                start = buf.rfind(b"\n", max(start, 0), start + limit + 1) + 1
+                if not start:
+                    return False
+            start = (buf.rfind(b"\n", 0, n) + 1 or start) - n  # after the chunk's last LF
+    return not n  # end of file, not a NUL
 
 
 def _first_row(path) -> list[str]:
@@ -169,12 +173,13 @@ def _first_row(path) -> list[str]:
 
 def _plain_columns(path, header: list[str], formats: tuple[str, ...]) -> list[np.ndarray] | None:
     """Read-only columns of a plain file (this header, then rows whose fields
-    all parse by their formats) read by numpy's C reader, else None. numpy's
-    float grammar is a subset of float()'s and gives the same bits."""
+    all parse by their formats; _loadable scans it in chunks first) read from
+    its path by numpy's C reader, else None. numpy's float grammar is a subset
+    of float()'s and gives the same bits."""
     if read_header(path) != header:
         return None
     try:
-        if not _loadable(Path(path).read_bytes()):
+        if not _loadable(path):
             return None
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns when the body is empty
@@ -572,6 +577,7 @@ def example_cross_decile_path() -> Path:
 _QUOTED = re.compile('[,"\r\n]')  # a CSV text field holding one of these is quoted
 _PAD = 0xFF  # fills field rows; never a byte of UTF-8 text
 _BLOCK_ROWS = 1 << 13  # rows formatted at a time, so temporaries stay bounded
+_SCAN_BYTES = 1 << 20  # bytes of a plain file that _loadable holds at a time
 # Up to this many quantile cuts (below 256, as ids are counted in uint8), a
 # record's bin is counted by one comparison per cut; more are binary searched.
 _COMPARED_CUTS = 16

@@ -1,6 +1,7 @@
 """Columnar record ingestion: contract, memory, and parity with row loaders
 and with sort-based quantile binning."""
 
+import csv
 import dataclasses
 import tracemalloc
 import warnings
@@ -450,6 +451,58 @@ def test_plain_tables_skip_csv_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(ingestion, "_read_columns", _no_csv_reader)
     assert (load_joint(joint), load_grouped(grouped)) == want
     assert repr(load_joint(joint)) == repr(want[0])
+
+
+def _loadable_bytes(data: bytes) -> bool:
+    """The rule that _loadable keeps, applied to a whole file's bytes at once."""
+    limit, start = csv.field_size_limit(), 0
+    while len(data) - start > limit:
+        start = data.rfind(b"\n", start, start + limit + 1) + 1
+        if not start:
+            return False
+    return b"\0" not in data
+
+
+LIMIT = 16  # the field size limit while the chunked scan is compared
+LINE = b"x" * LIMIT
+SCAN_CASES = [
+    b"",
+    LINE,  # a final line at the limit, with no line feed
+    LINE + b"x",  # a final line over it
+    LINE + b"\n" + LINE + b"\n",  # lines exactly at the limit
+    b"\n" + LINE + b"x\n",
+    b"ab\n" * 5 + LINE + b"\n",  # a line at the limit across chunk boundaries
+    b"ab\n" * 5 + LINE + b"x\n",
+    b"ab\n" * 20 + b"\0",  # a NUL in the last chunk
+    b"\n" * 40,
+]
+
+
+@pytest.fixture
+def field_limit():
+    """csv's field size limit lowered to LIMIT, and restored afterwards."""
+    old = csv.field_size_limit(LIMIT)
+    yield
+    csv.field_size_limit(old)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, LIMIT - 1, LIMIT, LIMIT + 1, 3 * LIMIT + 5, 1 << 20])
+def test_loadable_in_chunks_keeps_the_whole_file_rule(tmp_path, monkeypatch, field_limit, chunk):
+    monkeypatch.setattr(ingestion, "_SCAN_BYTES", chunk)
+    rng = np.random.default_rng(chunk)
+    files = list(SCAN_CASES)
+    for _ in range(400):  # lines of random length around the limit, now and then a NUL
+        p_lf = rng.uniform(0.03, 0.2)
+        draws = rng.choice(3, size=rng.integers(0, 150), p=[0.998 - p_lf, p_lf, 0.002])
+        files.append(np.array([b"a", b"\n", b"\0"])[draws].tobytes())
+    path = tmp_path / "p.csv"
+    seen = set()
+    for data in files:
+        path.write_bytes(data)
+        want = _loadable_bytes(data)
+        assert ingestion._loadable(path) == want, data
+        seen.add(want)
+    assert seen == {False, True}
 
 
 # Tie-heavy risks: few distinct values, -0.0 beside 0.0, and values one ulp

@@ -159,7 +159,7 @@ def test_sums_of_near_maximal_terms_are_exact(every_length, bits):
     _same_as_fsum((-x).tolist())
 
 
-def test_sum_takes_any_iterable():
+def test_sum_takes_any_iterable(every_length):
     values = [0.1 * i for i in range(3000)]
     assert _exact_sum(iter(values)).hex() == math.fsum(values).hex()
     assert _exact_sum(v for v in values[:10]).hex() == math.fsum(values[:10]).hex()
